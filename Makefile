@@ -25,6 +25,16 @@ lint:
 test:
 	go test ./...
 
+# Fuzzed path equivalence: the Prepared delta scorer must match the
+# reference Evaluator.Evaluate on fuzzed move walks over generated
+# vehicles and the replicated fixture, under every constraint shape of
+# the golden corpus. The seed corpus (internal/deploy/testdata/fuzz) runs
+# with every plain `go test`; this target explores beyond it for 30s on
+# two fuzz workers. A failing input is written back to the seed corpus
+# directory.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzPreparedMatchesEvaluate$$' -fuzztime 30s -parallel 2 ./internal/deploy
+
 # Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance").
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the
 # human-readable output, then enforces the performance budget: Verify
@@ -80,4 +90,4 @@ diag:
 	go run ./cmd/autodiag series -grep sim_events DIAG_demo.bundle > /dev/null
 	go run ./cmd/autodiag chrome -o DIAG_demo.trace.json DIAG_demo.bundle
 
-.PHONY: check lint test bench bench-compare bench-all chaos diag
+.PHONY: check lint test fuzz bench bench-compare bench-all chaos diag

@@ -404,12 +404,12 @@ func dseCandidates(b *testing.B, sys *model.System, n int) (*model.System, []*mo
 // BenchmarkVerifyDSESweep measures a full Verify+DSE pass: score a
 // 32-candidate sweep under RequireSchedulable, then statically verify the
 // winner. seq is the pre-pipeline workflow — every candidate evaluated
-// through the unbound, uncached evaluator, the winner verified on one
-// worker with cold analyses. par is the pipeline workflow — candidates
-// scored through a bound evaluator sharing the memoized response-time
-// cache, the winner verified through a shared parallel pipeline. Both
-// pick the same winner and produce byte-identical reports
-// (TestBoundEvaluateMatchesUnbound, TestVerifyParallelMatchesSequential).
+// through the uncached one-shot evaluator, the winner verified on one
+// worker with cold analyses. par is the pipeline workflow — each candidate
+// fully scored on the bound topology (Prepare + Evaluate) sharing the
+// memoized response-time cache, the winner verified through a shared
+// parallel pipeline. Both pick the same winner and produce byte-identical
+// reports (TestGoldenCorpus, TestVerifyParallelMatchesSequential).
 func BenchmarkVerifyDSESweep(b *testing.B) {
 	const candidates = 32
 	cons := deploy.Constraints{RequireSchedulable: true}
@@ -442,7 +442,11 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				best, bestCost := 0, math.Inf(1)
 				for j, cand := range cands {
-					if cost := bound.Evaluate(cand.Mapping).Cost(obj); cost < bestCost {
+					prep, err := bound.Prepare(cand.Mapping)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if cost := prep.Evaluate().Cost(obj); cost < bestCost {
 						best, bestCost = j, cost
 					}
 				}

@@ -23,10 +23,11 @@
 // Verification and exploration are parallel and memoized: core.Pipeline
 // fans per-ECU/bus/chain analyses out on a bounded worker pool
 // (internal/par) with deterministic, byte-identical reports for any
-// worker count, and deploy's searches score candidate mappings through
-// bound evaluators backed by canonical-key analysis caches (sched.Cache,
-// can.Cache, flexray.SynthCache). See the Performance sections of
-// README.md and EXPERIMENTS.md.
+// worker count, and deploy's searches bind the topology once and score
+// every candidate move through one delta evaluator (deploy.Prepared)
+// backed by canonical-key analysis caches (sched.Cache, can.Cache,
+// flexray.SynthCache). See the Performance sections of README.md and
+// EXPERIMENTS.md.
 //
 // The whole stack is observable through internal/obs — a dependency-free
 // metrics registry (Prometheus-text and JSON exporters), a DLT-style

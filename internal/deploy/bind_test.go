@@ -1,8 +1,7 @@
 package deploy
 
 import (
-	"math"
-	"reflect"
+	"strings"
 	"testing"
 
 	"autorte/internal/model"
@@ -19,50 +18,9 @@ func demoSystem(t *testing.T) *model.System {
 	return sys
 }
 
-// Bound evaluation must reproduce the unbound evaluator exactly — same
-// feasibility, same violation strings in the same order, bit-identical
-// cost terms — across a walk of random candidate mappings and every
-// constraint shape, feasible and infeasible.
-func TestBoundEvaluateMatchesUnbound(t *testing.T) {
-	base := demoSystem(t)
-	consSet := map[string]Constraints{
-		"default":     {},
-		"tight":       {MaxUtilization: 0.35},
-		"strict":      {RespectASIL: true, RespectMemory: true},
-		"schedulable": {RequireSchedulable: true},
-		"reject-all":  {MaxUtilization: RejectAllLoad},
-	}
-	for name, cons := range consSet {
-		t.Run(name, func(t *testing.T) {
-			ev := NewEvaluator(cons)
-			bound, err := ev.Bind(base)
-			if err != nil {
-				t.Fatalf("bind: %v", err)
-			}
-			cur := base.Clone()
-			r := sim.NewRand(7)
-			for step := 0; step < 40; step++ {
-				want := ev.Evaluate(cur)
-				got := bound.Evaluate(cur.Mapping)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d: bound metrics diverge\nunbound: %+v\nbound:   %+v", step, want, got)
-				}
-				obj := DefaultObjective()
-				wc, gc := want.Cost(obj), got.Cost(obj)
-				if wc != gc && !(math.IsInf(wc, 1) && math.IsInf(gc, 1)) {
-					t.Fatalf("step %d: cost diverges: %v vs %v", step, wc, gc)
-				}
-				// Random single-component move for the next step.
-				c := cur.Components[r.Intn(len(cur.Components))]
-				e := cur.ECUs[r.Intn(len(cur.ECUs))]
-				cur.Mapping[c.Name] = e.Name
-			}
-		})
-	}
-}
-
-// Degenerate mappings must fail identically through both paths: an
-// unmapped component and a mapping onto an unknown ECU.
+// Degenerate mappings — an unmapped component, a mapping onto an unknown
+// ECU — are infeasible under the reference evaluator, and Prepare refuses
+// them, so no search scores them through the delta path.
 func TestBoundEvaluateDegenerateMappings(t *testing.T) {
 	base := demoSystem(t)
 	ev := NewEvaluator(Constraints{RequireSchedulable: true})
@@ -73,29 +31,25 @@ func TestBoundEvaluateDegenerateMappings(t *testing.T) {
 
 	unmapped := base.Clone()
 	delete(unmapped.Mapping, unmapped.Components[0].Name)
-	want := ev.Evaluate(unmapped)
-	got := bound.Evaluate(unmapped.Mapping)
-	if want.Feasible || got.Feasible {
-		t.Fatal("unmapped component should be infeasible")
+	if m := ev.Evaluate(unmapped); m.Feasible {
+		t.Fatalf("unmapped component should be infeasible: %+v", m)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("unmapped-component metrics diverge\nunbound: %+v\nbound:   %+v", want, got)
+	if _, err := bound.Prepare(unmapped.Mapping); err == nil {
+		t.Fatal("prepare accepted an unmapped component")
 	}
 
 	ghost := base.Clone()
 	ghost.Mapping[ghost.Components[0].Name] = "no-such-ecu"
-	want = ev.Evaluate(ghost)
-	got = bound.Evaluate(ghost.Mapping)
-	if want.Feasible || got.Feasible {
-		t.Fatal("unknown-ECU mapping should be infeasible")
+	if m := ev.Evaluate(ghost); m.Feasible {
+		t.Fatalf("unknown-ECU mapping should be infeasible: %+v", m)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("unknown-ECU metrics diverge\nunbound: %+v\nbound:   %+v", want, got)
+	if _, err := bound.Prepare(ghost.Mapping); err == nil {
+		t.Fatal("prepare accepted a mapping onto an unknown ECU")
 	}
 }
 
-// Bind must refuse an invalid base topology so searches fall back to the
-// unbound evaluator and report the legacy validation error.
+// Bind must refuse an invalid base topology with the validation error, so
+// the searches report it instead of a misleading packing failure.
 func TestBindRejectsInvalidTopology(t *testing.T) {
 	sys := demoSystem(t)
 	sys.ECUs[0].Speed = 0
@@ -104,23 +58,35 @@ func TestBindRejectsInvalidTopology(t *testing.T) {
 	}
 }
 
-// A bound evaluator is shared across a parallel search's workers; hammer
-// it concurrently to keep it race-clean (run with -race).
-func TestBoundEvaluateConcurrent(t *testing.T) {
-	base := demoSystem(t)
-	ev := NewEvaluator(Constraints{RequireSchedulable: true})
-	bound, err := ev.Bind(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bound.Evaluate(base.Mapping)
-	done := make(chan Metrics, 8)
-	for g := 0; g < 8; g++ {
-		go func() { done <- bound.Evaluate(base.Mapping) }()
-	}
-	for g := 0; g < 8; g++ {
-		if got := <-done; !reflect.DeepEqual(want, got) {
-			t.Fatalf("concurrent bound evaluation diverged: %+v vs %+v", want, got)
-		}
+// Every search binds once and returns Bind's validation error on an
+// invalid topology — never a panic, never the Greedy bootstrap's
+// unrelated "cannot place" error.
+func TestSearchesRejectInvalidTopology(t *testing.T) {
+	obj := DefaultObjective()
+	for _, tc := range []struct {
+		name   string
+		search func(*model.System) (*model.System, error)
+	}{
+		{"Descend", func(sys *model.System) (*model.System, error) {
+			return Descend(sys, Constraints{}, obj, 2, 4)
+		}},
+		{"Anneal", func(sys *model.System) (*model.System, error) {
+			return Anneal(sys, Constraints{}, obj, 1, 100)
+		}},
+		{"AnnealParallel", func(sys *model.System) (*model.System, error) {
+			return AnnealParallel(sys, Constraints{}, obj, 1, 100, 3, 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := demoSystem(t)
+			sys.ECUs[0].Speed = 0
+			out, err := tc.search(sys)
+			if err == nil {
+				t.Fatalf("search accepted an invalid topology: %v", out.Mapping)
+			}
+			if !strings.Contains(err.Error(), "non-positive speed") || strings.Contains(err.Error(), "cannot place") {
+				t.Fatalf("error %q, want the topology's validation error", err)
+			}
+		})
 	}
 }

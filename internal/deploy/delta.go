@@ -1,35 +1,29 @@
 package deploy
 
-// Bound.Evaluate already avoids the per-candidate system clone, but it
-// still regroups every component and re-checks every ECU for each scored
-// move — O(system) work for a candidate that differs from the incumbent by
-// ONE mapping entry. Prepared is the delta evaluator on top of Bound: it
-// retains the incumbent's per-ECU accumulators and schedulability
-// verdicts, and EvaluateMove re-derives only the two ECUs a move touches.
-// The metrics are bit-identical to Bound.Evaluate — same summation order,
-// same violation strings in the same order — so a search can switch
-// between the paths freely (TestPreparedEvaluateMoveMatchesBoundEvaluate
-// holds them together).
+// Prepared is the mapping half of the search state: on top of a Bound it
+// retains the incumbent mapping's per-ECU accumulators and
+// schedulability verdicts, so EvaluateMove re-derives only the two ECUs a
+// single-component move touches — O(dirty ECUs) instead of the
+// O(system) regrouping a full evaluation pays. Its metrics are
+// bit-identical to Evaluator.Evaluate on the moved system — same
+// summation order, same violation strings in the same order
+// (TestGoldenCorpus, TestPreparedEvaluateMoveMatchesBoundEvaluate and
+// FuzzPreparedMatchesEvaluate hold the two together).
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"autorte/internal/model"
-	"autorte/internal/sched"
-	"autorte/internal/sim"
 )
 
-// ecuAcc is one ECU's per-candidate accumulator state: the hosting terms
-// Bound.Evaluate derives per evaluation, retained per incumbent instead.
+// ecuAcc is one ECU's accumulator state under the incumbent mapping: the
+// hosting terms Evaluator.Evaluate derives per evaluation, retained here.
 type ecuAcc struct {
 	load        float64
 	memory      int
 	hosts       bool
 	worst, best model.ASIL
-	protos      int // hosted analyzable runnable count, rate-less included
 }
 
 // moveKey identifies one dirty-ECU recomputation: ECU index, the comp
@@ -54,13 +48,6 @@ type Prepared struct {
 	// Per-ECU incumbent state, indexed like b.ecus.
 	accs     []ecuAcc
 	schedMsg []string // RTA violation message, "" when schedulable/skipped
-	// dist caches the harness distance per ECU index pair, ecuByName
-	// fixes the sorted order checkSchedulable reports violations in, and
-	// connComp resolves each connector's endpoint comp indices (-1 when
-	// the name is not a known component).
-	dist      [][]float64
-	ecuByName []int
-	connComp  [][2]int
 	// memo retains dirty-ECU recomputations against the current
 	// incumbent: a search rescoring its neighborhood between accepted
 	// moves hits the same (ECU, leave, join) combinations over and over.
@@ -72,8 +59,8 @@ type Prepared struct {
 // Prepare binds the evaluator state to an incumbent mapping. It rejects
 // mappings outside the DSE invariant — every component mapped to a known
 // ECU, no stray entries — because only there is the delta path guaranteed
-// to reproduce Bound.Evaluate exactly; searches fall back to the bound
-// evaluator on error.
+// to reproduce Evaluator.Evaluate exactly; searches bootstrap such a
+// mapping through Greedy instead.
 func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 	if len(mapping) != len(b.comps) {
 		return nil, fmt.Errorf("deploy: prepare: mapping has %d entries for %d components", len(mapping), len(b.comps))
@@ -84,17 +71,7 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 		curIdx:   make([]int, len(b.comps)),
 		accs:     make([]ecuAcc, len(b.ecus)),
 		schedMsg: make([]string, len(b.ecus)),
-		dist:     make([][]float64, len(b.ecus)),
-		connComp: make([][2]int, len(b.conns)),
 		memo:     map[moveKey]moveEntry{},
-		ecuByName: func() []int {
-			idx := make([]int, len(b.ecus))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(i, j int) bool { return b.ecus[idx[i]].name < b.ecus[idx[j]].name })
-			return idx
-		}(),
 	}
 	for i := range b.comps {
 		ecu, ok := mapping[b.comps[i].name]
@@ -108,37 +85,21 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 		p.curIdx[i] = ei
 	}
 	for i := range b.ecus {
-		p.dist[i] = make([]float64, len(b.ecus))
-		for j := range b.ecus {
-			dx := b.ecus[i].pos[0] - b.ecus[j].pos[0]
-			dy := b.ecus[i].pos[1] - b.ecus[j].pos[1]
-			p.dist[i][j] = math.Hypot(dx, dy)
-		}
-	}
-	for k := range b.conns {
-		p.connComp[k] = [2]int{-1, -1}
-		if ci, ok := b.compIdx[b.conns[k].from]; ok {
-			p.connComp[k][0] = ci
-		}
-		if ci, ok := b.compIdx[b.conns[k].to]; ok {
-			p.connComp[k][1] = ci
-		}
-	}
-	for i := range b.ecus {
 		p.accs[i], p.schedMsg[i] = p.computeECU(i, -1, -1)
 	}
 	return p, nil
 }
 
 // computeECU re-derives one ECU's accumulator and schedulability verdict,
-// reproducing Bound.Evaluate's per-component accumulation order and
-// checkSchedulable's grouping exactly. The hosted set is the incumbent's,
+// reproducing Evaluator.Evaluate's per-component accumulation order and
+// taskset.Build's grouping exactly. The hosted set is the incumbent's,
 // minus comp index skip, plus comp index add (-1 for none) — the two
-// adjustments a single-component move needs.
+// adjustments a single-component move needs. The response-time analysis
+// runs only under RequireSchedulable, the one setting that reads it.
 func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 	b := p.b
-	name := b.ecus[idx].name
 	speed := b.ecus[idx].speed
+	schedulable := b.ev.Cons.RequireSchedulable
 	var a ecuAcc
 	var protos []*protoTask
 	for i := range b.comps {
@@ -160,28 +121,17 @@ func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 		for _, t := range c.loadTerms {
 			a.load += t / speed
 		}
-		for j := range c.protos {
-			protos = append(protos, &c.protos[j])
+		if schedulable {
+			for j := range c.protos {
+				protos = append(protos, &c.protos[j])
+			}
 		}
 	}
-	a.protos = len(protos)
-	if len(protos) == 0 {
-		return a, ""
-	}
-	sortProtos(protos)
-	var tasks []sched.Task
-	for rank, pt := range protos {
-		if pt.period <= 0 {
-			continue
-		}
-		tasks = append(tasks, sched.Task{
-			Name: pt.name, C: sim.Duration(float64(pt.wcet) / speed),
-			T: pt.period, D: pt.deadline, Priority: 1000 - rank,
-		})
-	}
+	tasks := rtaTasks(protos, speed)
 	if len(tasks) == 0 {
 		return a, ""
 	}
+	name := b.ecus[idx].name
 	ok, err := b.ev.RTA.Check(tasks)
 	if err != nil {
 		return a, fmt.Sprintf("%s: RTA failed: %v", name, err)
@@ -208,17 +158,33 @@ func (p *Prepared) computeECUCached(idx, skip, add int) (ecuAcc, string) {
 	return acc, msg
 }
 
-// EvaluateMove scores moving comp to ecu without committing it. Unknown
-// names fall back to the full bound evaluation of the mutated mapping.
-func (p *Prepared) EvaluateMove(comp, ecu string) Metrics {
-	b := p.b
-	ci, okC := b.compIdx[comp]
-	ei, okE := b.ecuIdx[ecu]
-	if !okC || !okE {
-		cm := cloneMapping(p.cur)
-		cm[comp] = ecu
-		return b.Evaluate(cm)
+// indices resolves a move's names. An unknown name yields the error
+// model.System.Validate reports for the moved mapping.
+func (b *Bound) indices(comp, ecu string) (ci, ei int, err error) {
+	ci, ok := b.compIdx[comp]
+	if !ok {
+		return 0, 0, fmt.Errorf("mapping references unknown component %q", comp)
 	}
+	ei, ok = b.ecuIdx[ecu]
+	if !ok {
+		return 0, 0, fmt.Errorf("mapping of %s references unknown ECU %q", comp, ecu)
+	}
+	return ci, ei, nil
+}
+
+// EvaluateMove scores moving comp to ecu without committing it. A move
+// naming an unknown component or ECU is infeasible, with the violation
+// model.System.Validate reports for the moved mapping.
+func (p *Prepared) EvaluateMove(comp, ecu string) Metrics {
+	ci, ei, err := p.b.indices(comp, ecu)
+	if err != nil {
+		return Metrics{Feasible: false, Violations: []string{err.Error()}}
+	}
+	return p.evaluateMove(ci, ei)
+}
+
+// evaluateMove scores moving comp index ci to ECU index ei.
+func (p *Prepared) evaluateMove(ci, ei int) Metrics {
 	oi := p.curIdx[ci]
 	if ei == oi {
 		// The move is a no-op: the candidate mapping IS the incumbent.
@@ -246,17 +212,18 @@ func (p *Prepared) Evaluate() Metrics {
 // Apply commits a previously scored move into the incumbent state. Not
 // safe for concurrent use with EvaluateMove.
 func (p *Prepared) Apply(comp, ecu string) error {
-	b := p.b
-	ci, ok := b.compIdx[comp]
-	if !ok {
-		return fmt.Errorf("deploy: apply: unknown component %q", comp)
+	ci, ei, err := p.b.indices(comp, ecu)
+	if err != nil {
+		return fmt.Errorf("deploy: apply: %w", err)
 	}
-	ei, ok := b.ecuIdx[ecu]
-	if !ok {
-		return fmt.Errorf("deploy: apply: unknown ECU %q", ecu)
-	}
+	p.apply(ci, ei)
+	return nil
+}
+
+// apply commits moving comp index ci to ECU index ei.
+func (p *Prepared) apply(ci, ei int) {
 	oi := p.curIdx[ci]
-	p.cur[comp] = ecu
+	p.cur[p.b.comps[ci].name] = p.b.ecus[ei].name
 	p.curIdx[ci] = ei
 	// Only the two dirty ECUs' memo entries are stale: a move between oi
 	// and ei cannot change any other ECU's hosted set, and within a memo
@@ -274,11 +241,18 @@ func (p *Prepared) Apply(comp, ecu string) error {
 	if ei != oi {
 		p.accs[ei], p.schedMsg[ei] = p.computeECU(ei, -1, -1)
 	}
-	return nil
 }
 
 // Mapping returns a copy of the incumbent mapping.
 func (p *Prepared) Mapping() map[string]string { return cloneMapping(p.cur) }
+
+func cloneMapping(m map[string]string) map[string]string {
+	out := make(map[string]string, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
 
 // ecuOf resolves a component's ECU index under the incumbent with one
 // moved component overridden (moved -1 for none).
@@ -289,11 +263,12 @@ func (p *Prepared) ecuOf(ci, moved, target int) int {
 	return p.curIdx[ci]
 }
 
-// assemble folds per-ECU state into Metrics with Bound.Evaluate's exact
-// term order: ECU count, harness sum in connector order, per-ECU checks in
-// declaration order, communication verdict, RTA verdicts in sorted ECU
-// order, then load variance. The candidate mapping is the incumbent with
-// comp index moved relocated to ECU index target.
+// assemble folds per-ECU state into Metrics with Evaluator.Evaluate's
+// exact term order: ECU count, harness sum in connector order, per-ECU
+// checks in declaration order, fail-operational checks, communication
+// verdict, RTA verdicts in sorted ECU order, then load variance. The
+// candidate mapping is the incumbent with comp index moved relocated to
+// ECU index target.
 func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) Metrics {
 	b := p.b
 	cons := b.ev.Cons
@@ -309,16 +284,11 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 			m.ECUs++
 		}
 	}
-	for k := range b.conns {
-		fi, ti := p.connComp[k][0], p.connComp[k][1]
-		if fi < 0 || ti < 0 {
-			continue
+	for _, c := range b.conns {
+		si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target)
+		if si != di {
+			m.Harness += b.dist[si][di]
 		}
-		si, di := p.ecuOf(fi, moved, target), p.ecuOf(ti, moved, target)
-		if si == di {
-			continue
-		}
-		m.Harness += p.dist[si][di]
 	}
 	var loads []float64
 	for i := range b.ecus {
@@ -355,18 +325,22 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 		hosts: func(ei int) bool { a, _ := get(ei); return a.hosts },
 	}
 	rc.run(&m)
-	if err := p.commCheck(moved, target); err != nil {
-		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
+	// Communication: the first route-producing remote connector without a
+	// reachable ECU pair is the error vfb.Resolve reports.
+	for _, c := range b.conns {
+		si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target)
+		if si != di && c.needsPath && b.path[si][di] != nil {
+			m.Feasible = false
+			m.Violations = append(m.Violations, b.path[si][di].Error())
+			break
+		}
 	}
 	if cons.RequireSchedulable {
-		for _, i := range p.ecuByName {
-			a, msg := get(i)
-			if a.protos == 0 || msg == "" {
-				continue
+		for _, i := range b.ecuByName {
+			if _, msg := get(i); msg != "" {
+				m.Feasible = false
+				m.Violations = append(m.Violations, msg)
 			}
-			m.Feasible = false
-			m.Violations = append(m.Violations, msg)
 		}
 	}
 	if len(loads) > 0 {
@@ -381,28 +355,4 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 		m.LoadVar /= float64(len(loads))
 	}
 	return m
-}
-
-// commCheck reproduces Bound.commCheck under the moved-component view.
-// The mapping sanity loop of the bound path is statically satisfied here:
-// Prepare validated the incumbent and EvaluateMove only substitutes known
-// names. Connectors with endpoints outside the component set never need a
-// path (the bound path sees empty ECU names and skips them too).
-func (p *Prepared) commCheck(moved, target int) error {
-	b := p.b
-	for k := range b.conns {
-		c := &b.conns[k]
-		fi, ti := p.connComp[k][0], p.connComp[k][1]
-		if fi < 0 || ti < 0 {
-			continue
-		}
-		si, di := p.ecuOf(fi, moved, target), p.ecuOf(ti, moved, target)
-		if si == di || !c.needsPath {
-			continue
-		}
-		if err := b.path[[2]string{b.ecus[si].name, b.ecus[di].name}]; err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -239,7 +239,7 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 	}
 	// Fail-operational feasibility: replica anti-affinity, fail-over
 	// validity and the survivability fraction, through the same checker
-	// the bound and delta paths run.
+	// the delta path runs.
 	m.Survivability = 1
 	if hasRed {
 		comps := bindComps(sys)
@@ -303,23 +303,51 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 // constraints. ECUs are tried in name order (deterministic). The input is
 // not modified; the returned clone carries the new mapping.
 func Greedy(sys *model.System, cons Constraints) (*model.System, error) {
-	cons.fill()
-	if err := cons.Validate(); err != nil {
+	out, stuck, err := firstFit(sys, cons, false)
+	if err != nil {
 		return nil, err
 	}
+	if stuck != nil {
+		return nil, fmt.Errorf("deploy: cannot place %s (u=%.3f) on any ECU", stuck.Name, stuck.Utilization())
+	}
+	// The packing respects local constraints; verify globally (bus
+	// reachability included).
+	if m := Evaluate(out, cons); !m.Feasible {
+		return nil, fmt.Errorf("deploy: greedy result infeasible: %v", m.Violations)
+	}
+	return out, nil
+}
+
+// firstFit is the packer behind Greedy and Place: on a clone of sys —
+// keeping its mapping, or starting from an empty one — it places every
+// unmapped component, utilization descending and name-tiebroken, on the
+// first ECU in name order that fits. It returns the packed clone, or the
+// first component that fits nowhere.
+func firstFit(sys *model.System, cons Constraints, keep bool) (*model.System, *model.SWC, error) {
+	cons.fill()
+	if err := cons.Validate(); err != nil {
+		return nil, nil, err
+	}
 	out := sys.Clone()
-	comps := append([]*model.SWC(nil), out.Components...)
-	sort.SliceStable(comps, func(i, j int) bool {
-		ui, uj := comps[i].Utilization(), comps[j].Utilization()
+	if !keep || out.Mapping == nil {
+		out.Mapping = map[string]string{}
+	}
+	var pending []*model.SWC
+	for _, c := range out.Components {
+		if out.Mapping[c.Name] == "" {
+			pending = append(pending, c)
+		}
+	}
+	sort.SliceStable(pending, func(i, j int) bool {
+		ui, uj := pending[i].Utilization(), pending[j].Utilization()
 		if ui != uj {
 			return ui > uj
 		}
-		return comps[i].Name < comps[j].Name
+		return pending[i].Name < pending[j].Name
 	})
 	ecus := append([]*model.ECU(nil), out.ECUs...)
 	sort.SliceStable(ecus, func(i, j int) bool { return ecus[i].Name < ecus[j].Name })
-	out.Mapping = map[string]string{}
-	for _, c := range comps {
+	for _, c := range pending {
 		placed := false
 		for _, e := range ecus {
 			out.Mapping[c.Name] = e.Name
@@ -330,15 +358,10 @@ func Greedy(sys *model.System, cons Constraints) (*model.System, error) {
 			delete(out.Mapping, c.Name)
 		}
 		if !placed {
-			return nil, fmt.Errorf("deploy: cannot place %s (u=%.3f) on any ECU", c.Name, c.Utilization())
+			return nil, c, nil
 		}
 	}
-	// The packing respects local constraints; verify globally (bus
-	// reachability included).
-	if m := Evaluate(out, cons); !m.Feasible {
-		return nil, fmt.Errorf("deploy: greedy result infeasible: %v", m.Violations)
-	}
-	return out, nil
+	return out, nil, nil
 }
 
 // fits checks the per-ECU constraints for c on e under the current
@@ -410,42 +433,12 @@ func hasStandbyOf(out *model.System, name string) bool {
 // mappings are never touched; an error is returned when a new component
 // fits nowhere.
 func Place(sys *model.System, cons Constraints) (*model.System, error) {
-	cons.fill()
-	if err := cons.Validate(); err != nil {
+	out, stuck, err := firstFit(sys, cons, true)
+	if err != nil {
 		return nil, err
 	}
-	out := sys.Clone()
-	if out.Mapping == nil {
-		out.Mapping = map[string]string{}
-	}
-	ecus := append([]*model.ECU(nil), out.ECUs...)
-	sort.SliceStable(ecus, func(i, j int) bool { return ecus[i].Name < ecus[j].Name })
-	var pending []*model.SWC
-	for _, c := range out.Components {
-		if out.Mapping[c.Name] == "" {
-			pending = append(pending, c)
-		}
-	}
-	sort.SliceStable(pending, func(i, j int) bool {
-		ui, uj := pending[i].Utilization(), pending[j].Utilization()
-		if ui != uj {
-			return ui > uj
-		}
-		return pending[i].Name < pending[j].Name
-	})
-	for _, c := range pending {
-		placed := false
-		for _, e := range ecus {
-			out.Mapping[c.Name] = e.Name
-			if fits(out, c, e, cons) {
-				placed = true
-				break
-			}
-			delete(out.Mapping, c.Name)
-		}
-		if !placed {
-			return nil, fmt.Errorf("deploy: no spare capacity for new component %s", c.Name)
-		}
+	if stuck != nil {
+		return nil, fmt.Errorf("deploy: no spare capacity for new component %s", stuck.Name)
 	}
 	if m := Evaluate(out, cons); !m.Feasible {
 		return nil, fmt.Errorf("deploy: incremental placement infeasible: %v", m.Violations)
@@ -455,71 +448,67 @@ func Place(sys *model.System, cons Constraints) (*model.System, error) {
 
 // Anneal refines a feasible mapping by simulated annealing: random
 // single-component moves, accepting cost increases with a geometrically
-// cooling probability. Deterministic for a given seed.
+// cooling probability. Deterministic for a given seed. An infeasible
+// input is bootstrapped through Greedy; an invalid topology fails with
+// its validation error.
 func Anneal(sys *model.System, cons Constraints, obj Objective, seed uint64, iters int) (*model.System, error) {
 	cons.fill()
 	if err := cons.Validate(); err != nil {
 		return nil, err
 	}
-	return anneal(&Evaluator{Cons: cons}, sys, obj, seed, iters)
+	b, err := (&Evaluator{Cons: cons}).Bind(sys)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := anneal(b, sys, obj, seed, iters)
+	return out, err
 }
 
-// anneal is the evaluator-parameterized chain shared by Anneal and
-// AnnealParallel (the latter passes a cached evaluator shared across
-// chains). The chain binds the evaluator to the seed topology, so each
-// candidate move costs a mapping copy and a bound evaluation instead of a
-// full system clone; on an invalid topology the bind fails and the chain
-// degrades to the unbound path, surfacing the legacy errors.
-func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, error) {
-	cons := ev.Cons
-	cons.fill()
-	bound, bindErr := ev.Bind(sys)
-	cur := sys.Clone()
-	curM := ev.Evaluate(cur)
-	if !curM.Feasible {
-		// Bootstrap from greedy if the incoming mapping is infeasible.
-		g, err := Greedy(sys, cons)
-		if err != nil {
-			return nil, err
-		}
-		cur = g
-		curM = ev.Evaluate(cur)
+// incumbent prepares a search's starting mapping: sys's own when it is
+// complete and feasible, otherwise the Greedy packing of sys.
+func (b *Bound) incumbent(sys *model.System) (*Prepared, error) {
+	if p, err := b.Prepare(sys.Mapping); err == nil && p.Evaluate().Feasible {
+		return p, nil
 	}
-	best := cur.Clone()
-	bestCost := curM.Cost(obj)
-	curCost := bestCost
-	// The delta evaluator scores each candidate move in O(dirty ECUs); it
-	// degrades to the bound evaluation (O(system), still clone-free) and
-	// from there to the full clone path on invalid topologies.
-	var prep *Prepared
-	if bindErr == nil {
-		prep, _ = bound.Prepare(cur.Mapping)
+	g, err := Greedy(sys, b.ev.Cons)
+	if err != nil {
+		return nil, err
 	}
+	return b.Prepare(g.Mapping)
+}
+
+// withMapping returns a clone of sys carrying mapping.
+func withMapping(sys *model.System, mapping map[string]string) *model.System {
+	out := sys.Clone()
+	out.Mapping = mapping
+	return out
+}
+
+// anneal is the chain shared by Anneal and AnnealParallel (the latter
+// shares one Bound, and so one cached evaluator, across its chains). Each
+// candidate move is scored through the chain's own Prepared in O(dirty
+// ECUs). It returns the best mapping found and its cost.
+func anneal(b *Bound, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, float64, error) {
+	ev := b.ev
+	prep, err := b.incumbent(sys)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The incumbent is feasible, so every cost from here on that is
+	// accepted is finite.
+	curCost := prep.Evaluate().Cost(obj)
+	best, bestCost := prep.Mapping(), curCost
 	r := sim.NewRand(seed)
 	temp := bestCost * 0.05
 	if temp <= 0 {
 		temp = 1
 	}
 	for i := 0; i < iters; i++ {
-		c := cur.Components[r.Intn(len(cur.Components))]
-		e := cur.ECUs[r.Intn(len(cur.ECUs))]
-		if cur.Mapping[c.Name] == e.Name {
+		ci, ei := r.Intn(len(b.comps)), r.Intn(len(b.ecus))
+		if prep.curIdx[ci] == ei {
 			continue
 		}
-		var cand *model.System
-		var cost float64
-		switch {
-		case prep != nil:
-			cost = prep.EvaluateMove(c.Name, e.Name).Cost(obj)
-		case bindErr == nil:
-			cm := cloneMapping(cur.Mapping)
-			cm[c.Name] = e.Name
-			cost = bound.Evaluate(cm).Cost(obj)
-		default:
-			cand = cur.Clone()
-			cand.Mapping[c.Name] = e.Name
-			cost = ev.Evaluate(cand).Cost(obj)
-		}
+		cost := prep.evaluateMove(ci, ei).Cost(obj)
 		ev.movesEvaluated.Add(1)
 		accept := cost <= curCost
 		if !accept && !math.IsInf(cost, 1) {
@@ -527,27 +516,15 @@ func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters 
 		}
 		if accept {
 			ev.movesAccepted.Add(1)
-			if cand == nil {
-				// Materialize the accepted candidate only now.
-				cand = cur.Clone()
-				cand.Mapping[c.Name] = e.Name
-			}
-			if prep != nil {
-				if err := prep.Apply(c.Name, e.Name); err != nil {
-					prep = nil // unknown names: degrade to bound evaluation
-				}
-			}
-			cur, curCost = cand, cost
+			prep.apply(ci, ei)
+			curCost = cost
 			if cost < bestCost {
-				best, bestCost = cand.Clone(), cost
+				best, bestCost = prep.Mapping(), cost
 			}
 		}
 		temp *= 0.995
 	}
-	if math.IsInf(bestCost, 1) {
-		return nil, fmt.Errorf("deploy: annealing found no feasible mapping")
-	}
-	return best, nil
+	return withMapping(sys, best), bestCost, nil
 }
 
 // AnnealParallel runs `restarts` independent annealing chains (seeds
@@ -566,7 +543,10 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 	if restarts < 1 {
 		restarts = 1
 	}
-	ev := NewEvaluator(cons)
+	b, err := NewEvaluator(cons).Bind(sys)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]*model.System, restarts)
 	costs := make([]float64, restarts)
 	errs := make([]error, restarts)
@@ -574,13 +554,7 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 		// Chain errors are values here: one failed chain must not cancel
 		// its siblings, and the merge below stays deterministic.
 		chainSeed := seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		out, err := anneal(ev, sys, obj, chainSeed, iters)
-		if err != nil {
-			errs[i] = err
-			return nil
-		}
-		results[i] = out
-		costs[i] = ev.Evaluate(out).Cost(obj)
+		results[i], costs[i], errs[i] = anneal(b, sys, obj, chainSeed, iters)
 		return nil
 	})
 	best := -1
@@ -604,11 +578,12 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 }
 
 // Descend refines a feasible mapping by parallel steepest descent: every
-// iteration evaluates all single-component moves concurrently (each on
-// its own clone) and applies the strictly best improving one; it stops at
-// a local optimum or after maxIters rounds. Deterministic: candidates are
+// iteration scores all single-component moves concurrently against the
+// incumbent and applies the strictly best improving one; it stops at a
+// local optimum or after maxIters rounds. Deterministic: candidates are
 // enumerated in sorted (component, ECU) order and ties break to the
-// lowest index. An infeasible input is bootstrapped through Greedy.
+// lowest index. An infeasible input is bootstrapped through Greedy; an
+// invalid topology fails with its validation error.
 func Descend(sys *model.System, cons Constraints, obj Objective, workers, maxIters int) (*model.System, error) {
 	return DescendWith(NewEvaluator(cons), sys, obj, workers, maxIters)
 }
@@ -622,59 +597,32 @@ func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIt
 	if err := cons.Validate(); err != nil {
 		return nil, err
 	}
-	bound, bindErr := ev.Bind(sys)
-	cur := sys.Clone()
-	if m := ev.Evaluate(cur); !m.Feasible {
-		g, err := Greedy(sys, cons)
-		if err != nil {
-			return nil, err
-		}
-		cur = g
+	b, err := ev.Bind(sys)
+	if err != nil {
+		return nil, err
 	}
-	curCost := ev.Evaluate(cur).Cost(obj)
-	// Delta evaluator for the incumbent: EvaluateMove is read-only, so the
-	// per-round candidate fan-out below can share it concurrently.
-	var prep *Prepared
-	if bindErr == nil {
-		prep, _ = bound.Prepare(cur.Mapping)
+	// EvaluateMove is read-only, so the per-round candidate fan-out below
+	// shares the incumbent's Prepared concurrently.
+	prep, err := b.incumbent(sys)
+	if err != nil {
+		return nil, err
 	}
-	var compNames, ecuNames []string
-	for _, c := range cur.Components {
-		compNames = append(compNames, c.Name)
-	}
-	for _, e := range cur.ECUs {
-		ecuNames = append(ecuNames, e.Name)
-	}
-	sort.Strings(compNames)
-	sort.Strings(ecuNames)
-	type move struct{ comp, ecu string }
+	curCost := prep.Evaluate().Cost(obj)
+	comps := byName(len(b.comps), func(i int) string { return b.comps[i].name })
+	type move struct{ comp, ecu int }
 	for iter := 0; iter < maxIters; iter++ {
 		var moves []move
-		for _, c := range compNames {
-			for _, e := range ecuNames {
-				if cur.Mapping[c] != e {
-					moves = append(moves, move{c, e})
+		for _, ci := range comps {
+			for _, ei := range b.ecuByName {
+				if prep.curIdx[ci] != ei {
+					moves = append(moves, move{ci, ei})
 				}
 			}
 		}
 		costs := make([]float64, len(moves))
 		_ = par.ForEach(workers, len(moves), func(i int) error {
-			// Delta evaluation scores the move against the incumbent's
-			// retained per-ECU state; bound evaluation (mapping copy, no
-			// clone) and the full clone path are the fallbacks.
 			defer ev.movesEvaluated.Add(1)
-			switch {
-			case prep != nil:
-				costs[i] = prep.EvaluateMove(moves[i].comp, moves[i].ecu).Cost(obj)
-			case bindErr == nil:
-				cm := cloneMapping(cur.Mapping)
-				cm[moves[i].comp] = moves[i].ecu
-				costs[i] = bound.Evaluate(cm).Cost(obj)
-			default:
-				cand := cur.Clone()
-				cand.Mapping[moves[i].comp] = moves[i].ecu
-				costs[i] = ev.Evaluate(cand).Cost(obj)
-			}
+			costs[i] = prep.evaluateMove(moves[i].comp, moves[i].ecu).Cost(obj)
 			return nil
 		})
 		best := -1
@@ -687,17 +635,11 @@ func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIt
 			break // local optimum
 		}
 		ev.movesAccepted.Add(1)
-		next := cur.Clone()
-		next.Mapping[moves[best].comp] = moves[best].ecu
-		if prep != nil {
-			if err := prep.Apply(moves[best].comp, moves[best].ecu); err != nil {
-				prep = nil
-			}
-		}
-		cur, curCost = next, costs[best]
+		prep.apply(moves[best].comp, moves[best].ecu)
+		curCost = costs[best]
 	}
-	if m := ev.Evaluate(cur); !m.Feasible {
+	if m := prep.Evaluate(); !m.Feasible {
 		return nil, fmt.Errorf("deploy: descent result infeasible: %v", m.Violations)
 	}
-	return cur, nil
+	return withMapping(sys, prep.Mapping()), nil
 }

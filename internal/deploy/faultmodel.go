@@ -6,7 +6,7 @@ package deploy
 // bus channels, correlated ECU+bus failures) and to any k of those
 // units failing concurrently. The zero value reproduces the v1 sweep
 // bit-exactly — same events, same violation strings, same
-// Survivability fraction — so existing callers and the three-path
+// Survivability fraction — so existing callers and the two-path
 // DeepEqual identity are untouched.
 
 import (

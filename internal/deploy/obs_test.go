@@ -55,7 +55,11 @@ func TestDescendCountsMoves(t *testing.T) {
 func TestAnnealCountsMoves(t *testing.T) {
 	sys := vehicle(t, 3)
 	ev := NewEvaluator(Constraints{})
-	if _, err := anneal(ev, sys, DefaultObjective(), 7, 300); err != nil {
+	b, err := ev.Bind(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := anneal(b, sys, DefaultObjective(), 7, 300); err != nil {
 		t.Fatal(err)
 	}
 	evaluated, accepted := ev.SearchCounts()

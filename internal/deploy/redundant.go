@@ -6,10 +6,9 @@ package deploy
 // correlated losses) leaves each replica group with a promotable
 // instance AND the promoted instance's ECU still fits within its
 // capacity after absorbing the failed-over load. redCheck is that
-// analysis, shared verbatim by the unbound (Evaluator.Evaluate), bound
-// (Bound.Evaluate) and delta (Prepared.assemble) paths so the three stay
-// DeepEqual-identical — same violations in the same order, same
-// Survivability float.
+// analysis, shared verbatim by Evaluator.Evaluate and Prepared.assemble so
+// the two stay DeepEqual-identical — same violations in the same order,
+// same Survivability float.
 
 import (
 	"fmt"
@@ -24,11 +23,24 @@ import (
 // standby (component index) and the ECU index absorbing it.
 type promo struct{ standby, target int }
 
-// sortProtos orders a proto subset by the precomputed global ord —
-// identical to taskset.Build's stable (period, name) sort restricted to
-// the subset.
-func sortProtos(protos []*protoTask) {
+// rtaTasks derives the analyzable task set of one ECU hosting protos:
+// ranked rate-monotonically by the precomputed global ord (identical to
+// taskset.Build's stable (period, name) sort restricted to the subset),
+// WCETs scaled by the ECU speed. Rate-less protos consume a priority rank
+// but are not analyzed.
+func rtaTasks(protos []*protoTask, speed float64) []sched.Task {
 	sort.Slice(protos, func(i, j int) bool { return protos[i].ord < protos[j].ord })
+	var tasks []sched.Task
+	for rank, p := range protos {
+		if p.period <= 0 {
+			continue
+		}
+		tasks = append(tasks, sched.Task{
+			Name: p.name, C: sim.Duration(float64(p.wcet) / speed),
+			T: p.period, D: p.deadline, Priority: 1000 - rank,
+		})
+	}
+	return tasks
 }
 
 // redGroup is one replica group in bound component indices: the primary
@@ -231,18 +243,7 @@ func (rc *redCheck) failoverSchedulable(target int, promos []promo) bool {
 			protos = append(protos, &c.protos[j])
 		}
 	}
-	sortProtos(protos)
-	speed := rc.ecus[target].speed
-	var tasks []sched.Task
-	for rank, p := range protos {
-		if p.period <= 0 {
-			continue
-		}
-		tasks = append(tasks, sched.Task{
-			Name: p.name, C: sim.Duration(float64(p.wcet) / speed),
-			T: p.period, D: p.deadline, Priority: 1000 - rank,
-		})
-	}
+	tasks := rtaTasks(protos, rc.ecus[target].speed)
 	if len(tasks) == 0 {
 		return true
 	}
