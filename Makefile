@@ -28,12 +28,16 @@ test:
 # Fuzzed path equivalence: the Prepared delta scorer must match the
 # reference Evaluator.Evaluate on fuzzed move walks over generated
 # vehicles and the replicated fixture, under every constraint shape of
-# the golden corpus. The seed corpus (internal/deploy/testdata/fuzz) runs
-# with every plain `go test`; this target explores beyond it for 30s on
-# two fuzz workers. A failing input is written back to the seed corpus
+# the golden corpus; and Incremental.Reverify must match a fresh
+# Pipeline.Verify (one and four workers) on fuzzed move walks over the
+# fixtures of the core golden report corpus, passive standbys included.
+# The seed corpora (internal/{deploy,core}/testdata/fuzz) run with every
+# plain `go test`; this target explores beyond them for 30s each on two
+# fuzz workers. A failing input is written back to its seed corpus
 # directory.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzPreparedMatchesEvaluate$$' -fuzztime 30s -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzReverifyMatchesFresh$$' -fuzztime 30s -parallel 2 ./internal/core
 
 # Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance").
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the

@@ -20,10 +20,12 @@
 //   - the verification/composability layer tying it together
 //     (internal/core) and the reproduction suite (internal/experiments).
 //
-// Verification and exploration are parallel and memoized: core.Pipeline
-// fans per-ECU/bus/chain analyses out on a bounded worker pool
-// (internal/par) with deterministic, byte-identical reports for any
-// worker count, and deploy's searches bind the topology once and score
+// Verification and exploration are parallel and memoized: core has one
+// verifier — Pipeline.Verify is an Incremental's first pass, with every
+// ECU, bus and chain dirty, and Reverify runs the same step on the delta
+// of a mapping move — which fans per-ECU/bus/chain analyses out on a
+// bounded worker pool (internal/par) with deterministic, byte-identical
+// reports for any worker count, and deploy's searches bind the topology once and score
 // every candidate move through one delta evaluator (deploy.Prepared)
 // backed by canonical-key analysis caches (sched.Cache, can.Cache,
 // flexray.SynthCache). See the Performance sections of README.md and

@@ -8,6 +8,7 @@ import (
 	"autorte/internal/model"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
+	"autorte/internal/vfb"
 	"autorte/internal/workload"
 )
 
@@ -412,5 +413,63 @@ func TestVerifyTTPBusCapacity(t *testing.T) {
 	}
 	if !rep.Buses[0].Schedulable {
 		t.Fatalf("1.2ms TDMA round rejected: %s", rep.Buses[0].Detail)
+	}
+}
+
+// TestVerifyReportsFirstDeclaredUnroutable pins which routing error a
+// system with several unroutable connectors reports: the first failing
+// connector in declaration order, not in signal-name order — from
+// vfb.Resolve and from the verifier alike.
+func TestVerifyReportsFirstDeclaredUnroutable(t *testing.T) {
+	ifV := &model.PortInterface{
+		Name: "IfV", Kind: model.SenderReceiver,
+		Elements: []model.DataElement{{Name: "v", Type: model.UInt16}},
+	}
+	swc := func(name string, dir model.PortDirection) *model.SWC {
+		run := model.Runnable{Name: "run", WCETNominal: sim.US(50),
+			Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10)}}
+		port := "in"
+		if dir == model.Provided {
+			port = "out"
+			run.Writes = []model.PortRef{{Port: "out", Elem: "v"}}
+		} else {
+			run.Reads = []model.PortRef{{Port: "in", Elem: "v"}}
+		}
+		return &model.SWC{Name: name, Runnables: []model.Runnable{run},
+			Ports: []model.Port{{Name: port, Direction: dir, Interface: ifV}}}
+	}
+	sys := &model.System{
+		Name:       "islands",
+		Interfaces: []*model.PortInterface{ifV},
+		Components: []*model.SWC{
+			swc("Zeta", model.Provided), swc("Yankee", model.Required),
+			swc("Alpha", model.Provided), swc("Bravo", model.Required),
+		},
+		ECUs: []*model.ECU{
+			{Name: "ea", Speed: 1, Buses: []string{"can0"}},
+			{Name: "eb", Speed: 1, Buses: []string{"can1"}},
+			{Name: "ec", Speed: 1, Buses: []string{"can2"}},
+		},
+		Buses: []*model.Bus{
+			{Name: "can0", Kind: model.BusCAN, BitRate: 500_000},
+			{Name: "can1", Kind: model.BusCAN, BitRate: 500_000},
+			{Name: "can2", Kind: model.BusCAN, BitRate: 500_000},
+		},
+		// Declared Zeta→Yankee first; its signal name sorts after
+		// Alpha→Bravo's.
+		Connectors: []model.Connector{
+			{FromSWC: "Zeta", FromPort: "out", ToSWC: "Yankee", ToPort: "in"},
+			{FromSWC: "Alpha", FromPort: "out", ToSWC: "Bravo", ToPort: "in"},
+		},
+		Mapping: map[string]string{"Zeta": "ea", "Yankee": "eb", "Alpha": "ea", "Bravo": "ec"},
+	}
+	const want = "vfb: no path (direct or one-gateway) between ECUs ea and eb"
+	if _, err := vfb.Resolve(sys); err == nil || err.Error() != want {
+		t.Fatalf("vfb.Resolve error = %v, want %q", err, want)
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := NewPipeline(workers).Verify(sys, nil, rte.Options{}); err == nil || err.Error() != want {
+			t.Fatalf("Pipeline(%d).Verify error = %v, want %q", workers, err, want)
+		}
 	}
 }

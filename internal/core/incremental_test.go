@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // incrementalVehicle builds a deployed vehicle with real chain constraints
 // and cross-domain traffic — every report section (ECUs, buses, chains)
 // non-trivially populated.
-func incrementalVehicle(t *testing.T) *model.System {
+func incrementalVehicle(t testing.TB) *model.System {
 	t.Helper()
 	sys, err := workload.GenerateVehicle(workload.VehicleSpec{
 		ECUsPerDAS:       3,
@@ -156,5 +157,50 @@ func TestIncrementalRejectsUnknownComponent(t *testing.T) {
 	delete(bad, sys.Components[0].Name)
 	if _, err := inc.Reverify(bad); err == nil {
 		t.Fatal("mapping missing a component should be rejected")
+	}
+}
+
+// TestPassiveStandbyExcludedFromAnalysis pins the capacity model of
+// passive standbys: suspended until a fail-over promotes them, they add no
+// task to their hosting ECU's analysis — on the initial verification and
+// after re-verifying moves of the standby, exactly as a fresh verify.
+func TestPassiveStandbyExcludedFromAnalysis(t *testing.T) {
+	sys, contracts := standbySystem(t)
+	inc, err := NewIncremental(NewPipeline(1), sys, contracts, rte.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, got *Report, wantECUs ...string) {
+		t.Helper()
+		var names []string
+		for _, e := range got.ECUs {
+			names = append(names, e.Name)
+			for _, r := range e.Results {
+				if r.Task.Name == "Ctrl#1.law" {
+					t.Fatalf("%s: passive standby Ctrl#1 analyzed on %s (utilization %.3f)", step, e.Name, e.Utilization)
+				}
+			}
+		}
+		if !reflect.DeepEqual(names, wantECUs) {
+			t.Fatalf("%s: analyzed ECUs %v, want %v", step, names, wantECUs)
+		}
+		want, err := NewPipeline(1).Verify(sys, contracts, rte.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: incremental report diverges from full verify\n got: %+v\nwant: %+v", step, got, want)
+		}
+	}
+	check("initial", inc.Report(), "e1", "e2")
+	for _, ecu := range []string{"e3", "e2"} {
+		next := maps.Clone(sys.Mapping)
+		next["Ctrl#1"] = ecu
+		got, err := inc.Reverify(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A passive standby alone on e3 leaves e3 with no analyzable task.
+		check("standby on "+ecu, got, "e1", "e2")
 	}
 }

@@ -48,25 +48,18 @@ func TestTaskStageSingleTargetStillWorks(t *testing.T) {
 	}
 }
 
-func TestTaskStageCustomRTAIsUsed(t *testing.T) {
-	cache := sched.NewCache()
-	st := &TaskStage{
-		Name: "stage",
-		Tasks: []sched.Task{
-			{Name: "tgt", C: sim.MS(1), T: sim.MS(10), Priority: 1},
-		},
-		Target: "tgt",
-		RTA:    cache.ResponseTimes,
+// A stage carrying pre-resolved Results must bound from them instead of
+// re-running the analysis; without them it falls back to
+// sched.ResponseTimes.
+func TestTaskStagePreResolvedResultsAreUsed(t *testing.T) {
+	tgt := sched.Task{Name: "tgt", C: sim.MS(1), T: sim.MS(10), Priority: 1}
+	st := &TaskStage{Name: "stage", Tasks: []sched.Task{tgt}, Target: "tgt"}
+	if b, err := st.Bound(sim.MS(2)); err != nil || b != sim.MS(3) {
+		t.Fatalf("analyzed bound = %v, %v; want 3ms", b, err)
 	}
-	if _, err := st.Bound(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Bound(0); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
+	st.Results = []sched.Result{{Task: tgt, WCRT: sim.MS(7), Schedulable: true, Converged: true}}
+	if b, err := st.Bound(sim.MS(2)); err != nil || b != sim.MS(9) {
+		t.Fatalf("pre-resolved bound = %v, %v; want 9ms", b, err)
 	}
 }
 

@@ -106,93 +106,14 @@ func oneLogicalProvider(s *model.System, provs []string) bool {
 }
 
 // Resolve maps every connector element onto a route under the system's
-// current mapping. Every component must be mapped, and remote connectors
-// need a bus shared by both ECUs.
+// current mapping, sorted by signal name. Every component must be mapped,
+// and remote connectors need a path between their ECUs; on failure the
+// error names the first unroutable connector in declaration order.
 func Resolve(s *model.System) ([]Route, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return ResolveValidated(s)
-}
-
-// pathResult memoizes one ECU pair's resolved communication path for the
-// duration of a Resolve call — vehicle topologies route many connectors
-// over few ECU pairs, so the shared-bus scan runs once per pair.
-type pathResult struct {
-	bus, via, bus2 string
-	err            error
-}
-
-// ResolveValidated is Resolve for callers that have already validated the
-// system — the verification pipeline validates once up front and must not
-// pay for (or double-report) a second full validation per verify.
-func ResolveValidated(s *model.System) ([]Route, error) {
-	var routes []Route
-	var paths map[[2]string]pathResult
-	pathFor := func(srcECU, dstECU string) (string, string, string, error) {
-		k := [2]string{srcECU, dstECU}
-		if p, ok := paths[k]; ok {
-			return p.bus, p.via, p.bus2, p.err
-		}
-		bus, via, bus2, err := resolvePath(s, srcECU, dstECU)
-		if paths == nil {
-			paths = map[[2]string]pathResult{}
-		}
-		paths[k] = pathResult{bus, via, bus2, err}
-		return bus, via, bus2, err
-	}
-	for _, c := range s.Connectors {
-		srcECU, ok := s.Mapping[c.FromSWC]
-		if !ok {
-			return nil, fmt.Errorf("vfb: component %s is not mapped", c.FromSWC)
-		}
-		dstECU, ok := s.Mapping[c.ToSWC]
-		if !ok {
-			return nil, fmt.Errorf("vfb: component %s is not mapped", c.ToSWC)
-		}
-		prov := s.Component(c.FromSWC).Port(c.FromPort)
-		req := s.Component(c.ToSWC).Port(c.ToPort)
-		if prov.Interface.Kind != model.SenderReceiver {
-			// Client-server connectors route the request and response as a
-			// pair of events; we model them as a single logical element.
-			routes = append(routes, Route{
-				Conn: c, Elem: "__call__",
-				Local:      srcECU == dstECU,
-				SignalName: signalName(c, "__call__"),
-				Bits:       32,
-			})
-			if srcECU != dstECU {
-				bus, via, bus2, err := pathFor(srcECU, dstECU)
-				if err != nil {
-					return nil, err
-				}
-				routes[len(routes)-1].Bus = bus
-				routes[len(routes)-1].Via = via
-				routes[len(routes)-1].Bus2 = bus2
-			}
-			continue
-		}
-		// One route per data element the requirer consumes.
-		for _, el := range req.Interface.Elements {
-			r := Route{
-				Conn: c, Elem: el.Name,
-				Local:      srcECU == dstECU,
-				SignalName: signalName(c, el.Name),
-				Bits:       el.Type.Bits,
-				Period:     producerPeriod(s, s.Component(c.FromSWC), c.FromPort, el.Name),
-			}
-			if !r.Local {
-				bus, via, bus2, err := pathFor(srcECU, dstECU)
-				if err != nil {
-					return nil, err
-				}
-				r.Bus, r.Via, r.Bus2 = bus, via, bus2
-			}
-			routes = append(routes, r)
-		}
-	}
-	sort.Slice(routes, func(i, j int) bool { return routes[i].SignalName < routes[j].SignalName })
-	return routes, nil
+	return MaterializeAll(s, Templates(s), s.Mapping, PathMemo(s))
 }
 
 // Template is the mapping-independent part of a Route: everything Resolve
@@ -266,6 +187,30 @@ func (t Template) Materialize(mapping map[string]string,
 	return r, nil
 }
 
+// MaterializeAll turns every template of s (as Templates returns them)
+// into its route under mapping. On failure it reports the first
+// unroutable connector in declaration order — not in template order — so
+// the error does not depend on how signal names sort.
+func MaterializeAll(s *model.System, tmpls []Template, mapping map[string]string,
+	pathFor func(srcECU, dstECU string) (bus, via, bus2 string, err error)) ([]Route, error) {
+	routes := make([]Route, len(tmpls))
+	for i, t := range tmpls {
+		r, err := t.Materialize(mapping, pathFor)
+		if err != nil {
+			// Re-route the connectors in declaration order for the error a
+			// connector-by-connector resolve meets first.
+			for _, c := range s.Connectors {
+				if _, err := (Template{Conn: c}).Materialize(mapping, pathFor); err != nil {
+					return nil, err
+				}
+			}
+			return nil, err
+		}
+		routes[i] = r
+	}
+	return routes, nil
+}
+
 func signalName(c model.Connector, elem string) string {
 	return c.FromSWC + "." + c.FromPort + "." + elem + "->" + c.ToSWC + "." + c.ToPort
 }
@@ -294,6 +239,27 @@ func producerPeriod(s *model.System, swc *model.SWC, port, elem string) int64 {
 // connector.
 func Path(s *model.System, srcECU, dstECU string) (bus, via, bus2 string, err error) {
 	return resolvePath(s, srcECU, dstECU)
+}
+
+// PathMemo returns Path for s, memoized per ECU pair: vehicle topologies
+// route many connectors over few ECU pairs. The ECUs and their bus
+// attachments must not change while the memo is in use. Not safe for
+// concurrent use.
+func PathMemo(s *model.System) func(srcECU, dstECU string) (bus, via, bus2 string, err error) {
+	type path struct {
+		bus, via, bus2 string
+		err            error
+	}
+	memo := map[[2]string]path{}
+	return func(src, dst string) (string, string, string, error) {
+		k := [2]string{src, dst}
+		p, ok := memo[k]
+		if !ok {
+			p.bus, p.via, p.bus2, p.err = resolvePath(s, src, dst)
+			memo[k] = p
+		}
+		return p.bus, p.via, p.bus2, p.err
+	}
 }
 
 // resolvePath finds the communication path between two ECUs: a directly
