@@ -173,16 +173,7 @@ func (c *Cache) ResponseTimesShared(tasks []Task) ([]Result, error) {
 // Schedulable is the memoized equivalent of the package function.
 func (c *Cache) Schedulable(tasks []Task) (bool, []Result, error) {
 	if c == nil {
-		rs, err := ResponseTimes(tasks)
-		if err != nil {
-			return false, nil, err
-		}
-		for _, r := range rs {
-			if !r.Schedulable {
-				return false, rs, nil
-			}
-		}
-		return true, rs, nil
+		return Schedulable(tasks)
 	}
 	e, err := c.lookup(tasks)
 	if err != nil {
