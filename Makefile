@@ -31,13 +31,19 @@ test:
 # the golden corpus; and Incremental.Reverify must match a fresh
 # Pipeline.Verify (one and four workers) on fuzzed move walks over the
 # fixtures of the core golden report corpus, passive standbys included.
-# The seed corpora (internal/{deploy,core}/testdata/fuzz) run with every
-# plain `go test`; this target explores beyond them for 30s each on two
-# fuzz workers. A failing input is written back to its seed corpus
-# directory.
+# The simulator hot path is fuzzed against linear references: the typed
+# event heap must pop fuzzed At/AtPrio/Cancel/Step sequences in
+# (at, prio, seq) order, and the trace recorder's count index must match
+# a rescan of its records for every kind and source.
+# The seed corpora (internal/{deploy,core,sim,trace}/testdata/fuzz) run
+# with every plain `go test`; this target explores beyond them for 30s
+# each on two fuzz workers. A failing input is written back to its seed
+# corpus directory.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzPreparedMatchesEvaluate$$' -fuzztime 30s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzReverifyMatchesFresh$$' -fuzztime 30s -parallel 2 ./internal/core
+	go test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 30s -parallel 2 ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzRecorderCounts$$' -fuzztime 30s -parallel 2 ./internal/trace
 
 # Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance").
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the

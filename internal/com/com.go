@@ -164,47 +164,69 @@ func (p *IPdu) Signal(name string) *Signal {
 // MSB-to-LSB value order. Intel signals ascend from StartBit (LSB);
 // Motorola signals walk down from StartBit (MSB) per the DBC convention.
 func (s *Signal) bitPositions(payloadBits int) ([]int, error) {
-	out := make([]int, s.Bits)
-	if !s.BigEndian {
-		if s.StartBit < 0 || s.StartBit+s.Bits > payloadBits {
-			return nil, fmt.Errorf("bits [%d,%d) outside payload", s.StartBit, s.StartBit+s.Bits)
-		}
-		for i := 0; i < s.Bits; i++ {
-			out[i] = s.StartBit + s.Bits - 1 - i // MSB first
-		}
-		return out, nil
+	if err := s.checkBits(payloadBits); err != nil {
+		return nil, err
 	}
-	pos := s.StartBit
-	for i := 0; i < s.Bits; i++ {
-		if pos < 0 || pos >= payloadBits {
-			return nil, fmt.Errorf("motorola bit %d outside payload", pos)
-		}
+	out := make([]int, s.Bits)
+	for i, pos := 0, s.firstBit(); i < s.Bits; i, pos = i+1, s.nextBit(pos) {
 		out[i] = pos
-		if pos%8 == 0 {
-			pos += 15 // wrap to bit 7 of the next byte
-		} else {
-			pos--
-		}
 	}
 	return out, nil
 }
 
+// checkBits reports whether every bit of the signal lies inside a
+// payload of payloadBits bits, walking them without materialising them.
+func (s *Signal) checkBits(payloadBits int) error {
+	if !s.BigEndian {
+		if s.StartBit < 0 || s.StartBit+s.Bits > payloadBits {
+			return fmt.Errorf("bits [%d,%d) outside payload", s.StartBit, s.StartBit+s.Bits)
+		}
+		return nil
+	}
+	for i, pos := 0, s.firstBit(); i < s.Bits; i, pos = i+1, s.nextBit(pos) {
+		if pos < 0 || pos >= payloadBits {
+			return fmt.Errorf("motorola bit %d outside payload", pos)
+		}
+	}
+	return nil
+}
+
+// firstBit is the payload index of the signal's MSB.
+func (s *Signal) firstBit() int {
+	if s.BigEndian {
+		return s.StartBit
+	}
+	return s.StartBit + s.Bits - 1
+}
+
+// nextBit steps from one payload bit of the signal to the next less
+// significant one.
+func (s *Signal) nextBit(pos int) int {
+	if s.BigEndian && pos%8 == 0 {
+		return pos + 15 // Motorola: wrap to bit 7 of the next byte
+	}
+	return pos - 1
+}
+
 // Pack serializes physical signal values into a payload. Missing signals
-// pack as zero raw value.
+// pack as zero raw value; a signal outside the payload packs nothing.
 func (p *IPdu) Pack(values map[string]float64) []byte {
 	payload := make([]byte, p.Length)
 	for i := range p.Signals {
 		s := &p.Signals[i]
+		if s.checkBits(p.Length*8) != nil {
+			continue
+		}
 		raw := uint64(0)
 		if v, ok := values[s.Name]; ok {
 			raw = s.ToRaw(v)
 		}
-		positions, _ := s.bitPositions(p.Length * 8)
-		for j, pos := range positions {
-			bit := (raw >> uint(s.Bits-1-j)) & 1
-			if bit == 1 {
+		pos := s.firstBit()
+		for j := s.Bits - 1; j >= 0; j-- {
+			if (raw>>uint(j))&1 == 1 {
 				payload[pos/8] |= 1 << uint(pos%8)
 			}
+			pos = s.nextBit(pos)
 		}
 	}
 	return payload
@@ -219,12 +241,11 @@ func (p *IPdu) Unpack(payload []byte) (map[string]float64, error) {
 	out := make(map[string]float64, len(p.Signals))
 	for i := range p.Signals {
 		s := &p.Signals[i]
-		positions, err := s.bitPositions(p.Length * 8)
-		if err != nil {
+		if err := s.checkBits(p.Length * 8); err != nil {
 			return nil, fmt.Errorf("com: PDU %s signal %s: %w", p.Name, s.Name, err)
 		}
 		var raw uint64
-		for _, pos := range positions {
+		for j, pos := 0, s.firstBit(); j < s.Bits; j, pos = j+1, s.nextBit(pos) {
 			raw <<= 1
 			if payload[pos/8]&(1<<uint(pos%8)) != 0 {
 				raw |= 1

@@ -191,9 +191,7 @@ func (p *Platform) e2eAccept(ch *e2eChannel, payload []byte) bool {
 // ladder) and triggers channel failover once the window qualifies the
 // channel as invalid.
 func (p *Platform) noteE2E(ch *e2eChannel, st e2eprot.Status) {
-	p.Metrics.Counter("e2e_checks_total",
-		"E2E verification checks on protected channels, by check status.",
-		obs.Label{Key: "status", Value: st.String()}).Inc()
+	p.e2eCheckCounter(st).Inc()
 	cls := st.DetectedClass()
 	if cls == "" {
 		return
@@ -205,6 +203,23 @@ func (p *Platform) noteE2E(ch *e2eChannel, st e2eprot.Status) {
 	if ch.rx.State() == e2eprot.SMInvalid {
 		p.e2eFailover(ch)
 	}
+}
+
+// e2eCheckCounter returns the e2e_checks_total series of a check
+// status, resolving it in Metrics once per status rather than on every
+// check.
+func (p *Platform) e2eCheckCounter(st e2eprot.Status) *obs.Counter {
+	if p.e2eReg != p.Metrics {
+		p.e2eReg, p.e2eChecks = p.Metrics, [len(p.e2eChecks)]*obs.Counter{}
+	}
+	c := p.e2eChecks[st]
+	if c == nil {
+		c = p.Metrics.Counter("e2e_checks_total",
+			"E2E verification checks on protected channels, by check status.",
+			obs.Label{Key: "status", Value: st.String()})
+		p.e2eChecks[st] = c
+	}
+	return c
 }
 
 // e2eFailover moves a qualified-invalid channel to its redundant medium

@@ -188,3 +188,35 @@ func TestE2EFlexRayChannelFailover(t *testing.T) {
 		t.Fatal("channel death left no timeout detections")
 	}
 }
+
+// TestNoteE2EAllocs gates the per-check metering: on a warm platform a
+// check resolves no series and allocates nothing.
+func TestNoteE2EAllocs(t *testing.T) {
+	p, _, _ := protectedChain(t, Options{E2E: &E2EOptions{}})
+	p.Run(sim.MS(95))
+	ch := p.e2eChans[sigSensorCtrl]
+	before := e2eChecks(p, "ok")
+	if allocs := testing.AllocsPerRun(100, func() { p.noteE2E(ch, e2eprot.StatusOK) }); allocs != 0 {
+		t.Fatalf("noteE2E allocates %v times per check, want 0", allocs)
+	}
+	if got := e2eChecks(p, "ok"); got != before+101 {
+		t.Fatalf("e2e_checks_total{ok} = %d after 101 checks, want %d", got, before+101)
+	}
+}
+
+// TestNoteE2EFollowsMetricsReplacement: the cached check counters are
+// re-resolved when the platform's registry is replaced.
+func TestNoteE2EFollowsMetricsReplacement(t *testing.T) {
+	p, _, _ := protectedChain(t, Options{E2E: &E2EOptions{}})
+	p.Run(sim.MS(95))
+	if e2eChecks(p, "ok") == 0 {
+		t.Fatal("warm-up run made no checks")
+	}
+	p.Metrics = obs.NewRegistry()
+	p.noteE2E(p.e2eChans[sigSensorCtrl], e2eprot.StatusOK)
+	if got := e2eChecks(p, "ok"); got != 1 {
+		t.Fatalf("new registry: e2e_checks_total{ok} = %d, want 1", got)
+	}
+	p.Metrics = nil
+	p.noteE2E(p.e2eChans[sigSensorCtrl], e2eprot.StatusOK) // a nil registry discards
+}

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"autorte/internal/can"
+	"autorte/internal/e2eprot"
 	"autorte/internal/flexray"
 	"autorte/internal/model"
 	"autorte/internal/obs"
@@ -172,6 +173,11 @@ type Platform struct {
 	e2eChans map[string]*e2eChannel
 	e2eByDst map[string]*e2eChannel
 	rxTamper map[string]RxTamper
+	// e2eChecks caches the e2e_checks_total counter of each check
+	// status, resolved on first use against e2eReg; e2eCheckCounter drops the
+	// cache when Metrics is replaced.
+	e2eReg    *obs.Registry
+	e2eChecks [e2eprot.StatusError + 1]*obs.Counter
 	// Replica-switchover state (replica.go): standbys per primary in
 	// fail-over preference order, the instance currently delivering each
 	// replicated function, and permanently failed ECUs.
@@ -185,7 +191,7 @@ type Platform struct {
 	primaryOf map[string]string
 	muted     map[string][]*mutedEntry
 	switchAt  map[string]switchMark
-	started  bool
+	started   bool
 	// Virtual-time sampling state (EnableSampling).
 	sampler       *obs.Sampler
 	samplerCancel func()

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Event is a scheduled callback in virtual time.
 type Event struct {
@@ -11,8 +8,7 @@ type Event struct {
 	seq    uint64 // tie-break: FIFO among events at the same instant
 	prio   int    // secondary order at the same instant; lower runs first
 	fn     func()
-	index  int // heap index; -1 once removed
-	dead   bool
+	index  int    // heap index; -1 once fired or cancelled
 	Label  string // optional, for debugging traces
 	kernel *Kernel
 }
@@ -23,49 +19,107 @@ func (e *Event) At() Time { return e.at }
 // Cancel prevents a pending event from firing. Cancelling an already-fired
 // or already-cancelled event is a no-op.
 func (e *Event) Cancel() {
-	if e == nil || e.dead || e.index < 0 {
-		if e != nil {
-			e.dead = true
-		}
+	if e == nil || e.index < 0 {
 		return
 	}
-	e.dead = true
-	heap.Remove(&e.kernel.queue, e.index)
+	e.kernel.queue.remove(e.index)
 }
 
 // Pending reports whether the event is still scheduled.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.index >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
+// before orders events by (at, prio, seq). seq is unique per kernel, so
+// this is a total order: any correct heap pops the same sequence.
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.prio != o.prio {
+		return e.prio < o.prio
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events under before. Every queued
+// event is live: Cancel removes its event, and Step pops before it runs
+// one. Each event's index tracks its slot so Cancel removes in O(log n).
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
+func (q *eventQueue) push(e *Event) {
 	e.index = len(*q)
 	*q = append(*q, e)
+	q.up(e.index)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
+
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() *Event {
+	e := (*q)[0]
+	q.remove(0)
 	return e
+}
+
+// remove deletes the event at slot i, moving the last event into the gap
+// and restoring heap order around it.
+func (q *eventQueue) remove(i int) {
+	old := *q
+	n := len(old) - 1
+	e, last := old[i], old[n]
+	old[n] = nil
+	*q = old[:n]
+	e.index = -1
+	if i == n {
+		return
+	}
+	old[i] = last
+	last.index = i
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+// up moves the event at slot j towards the root until its parent is
+// earlier.
+func (q eventQueue) up(j int) {
+	e := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := q[i]
+		if !e.before(p) {
+			break
+		}
+		q[j] = p
+		p.index = j
+		j = i
+	}
+	q[j] = e
+	e.index = j
+}
+
+// down moves the event at slot i0 towards the leaves until both children
+// are later, and reports whether it moved.
+func (q eventQueue) down(i0 int) bool {
+	n := len(q)
+	e := q[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !child.before(e) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = e
+	e.index = i
+	return i > i0
 }
 
 // Kernel is a deterministic discrete-event simulator. It is not safe for
@@ -113,7 +167,7 @@ func (k *Kernel) at(t Time, prio int, fn func(), label string) *Event {
 	}
 	e := &Event{at: t, seq: k.seq, prio: prio, fn: fn, Label: label, kernel: k}
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	return e
 }
 
@@ -152,12 +206,8 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.queue).(*Event)
-	if e.dead {
-		return k.Step()
-	}
+	e := k.queue.pop()
 	k.now = e.at
-	e.dead = true
 	k.events++
 	e.fn()
 	return true
@@ -184,12 +234,5 @@ func (k *Kernel) Run(horizon Time) uint64 {
 }
 
 // Pending returns the number of scheduled (non-cancelled) events.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, e := range k.queue {
-		if !e.dead {
-			n++
-		}
-	}
-	return n
-}
+// Cancel removes its event from the queue, so that is the queue length.
+func (k *Kernel) Pending() int { return len(k.queue) }

@@ -82,35 +82,81 @@ type Recorder struct {
 	// for every activation and completion the platform makes.
 	SinkKinds KindMask
 
-	// counts indexes records by kind (all sources) and by (kind, source)
-	// so Count is O(1): supervision and health monitors poll counts every
-	// window, which would otherwise rescan the whole trace each time.
-	// Maintained by Add; callers must not append to Records directly.
-	counts map[countKey]int
+	// The count index behind Count, maintained by Add; callers must not
+	// append to Records directly. Supervision and health monitors poll
+	// counts every window, which would otherwise rescan the whole trace
+	// each time. sources maps each non-empty source to its row in rows,
+	// a dense per-kind counter array, so Add does one string lookup and
+	// Count("") none: totals holds the all-sources count per kind. The
+	// platform only emits kinds up to Recover; any later Kind value is
+	// counted exactly in rare, keyed by kind and row (-1 for the total).
+	sources map[string]int32
+	rows    [][denseKinds]int
+	totals  [denseKinds]int
+	rare    map[rareKey]int
 }
 
-// countKey indexes the incremental counters; an empty source holds the
-// all-sources total for a kind.
-type countKey struct {
-	kind   Kind
-	source string
+// denseKinds is the number of kinds with a dense counter slot.
+const denseKinds = int(Recover) + 1
+
+// rareKey indexes the counters of kinds beyond Recover.
+type rareKey struct {
+	kind Kind
+	row  int32
 }
+
+// minRecords is the first capacity Add gives Records.
+const minRecords = 64
 
 // Add appends a record. Safe on a nil receiver (no-op).
 func (r *Recorder) Add(rec Record) {
 	if r == nil {
 		return
 	}
+	if len(r.Records) == cap(r.Records) {
+		// Double explicitly: append's ~1.25x step for large slices copies
+		// each retained record about four times on average, doubling
+		// about once.
+		grown := make([]Record, len(r.Records), max(2*cap(r.Records), minRecords))
+		copy(grown, r.Records)
+		r.Records = grown
+	}
 	r.Records = append(r.Records, rec)
-	if r.counts == nil {
-		r.counts = map[countKey]int{}
-	}
-	if rec.Source != "" {
-		r.counts[countKey{rec.Kind, rec.Source}]++
-	}
-	r.counts[countKey{rec.Kind, ""}]++
+	r.count(rec.Kind, rec.Source)
 	if r.Sink != nil && (r.SinkKinds == 0 || r.SinkKinds.Has(rec.Kind)) {
 		r.Sink(rec)
+	}
+}
+
+// count bumps the all-sources and, for a non-empty source, the
+// per-source counter of kind.
+func (r *Recorder) count(kind Kind, source string) {
+	row := int32(-1)
+	if source != "" {
+		i, ok := r.sources[source]
+		if !ok {
+			if r.sources == nil {
+				r.sources = map[string]int32{}
+			}
+			i = int32(len(r.rows))
+			r.sources[source] = i
+			r.rows = append(r.rows, [denseKinds]int{})
+		}
+		row = i
+	}
+	if int(kind) < denseKinds {
+		r.totals[kind]++
+		if row >= 0 {
+			r.rows[row][kind]++
+		}
+		return
+	}
+	if r.rare == nil {
+		r.rare = map[rareKey]int{}
+	}
+	r.rare[rareKey{kind, -1}]++
+	if row >= 0 {
+		r.rare[rareKey{kind, row}]++
 	}
 }
 
@@ -126,7 +172,10 @@ func (r *Recorder) Emit(at sim.Time, kind Kind, source string, job int64, info s
 func (r *Recorder) Reset() {
 	if r != nil {
 		r.Records = r.Records[:0]
-		r.counts = nil
+		clear(r.sources)
+		r.rows = r.rows[:0]
+		r.totals = [denseKinds]int{}
+		r.rare = nil
 	}
 }
 
@@ -152,7 +201,21 @@ func (r *Recorder) Count(kind Kind, source string) int {
 	if r == nil {
 		return 0
 	}
-	return r.counts[countKey{kind, source}]
+	row := int32(-1)
+	if source != "" {
+		i, ok := r.sources[source]
+		if !ok {
+			return 0
+		}
+		row = i
+	}
+	if int(kind) >= denseKinds {
+		return r.rare[rareKey{kind, row}]
+	}
+	if row < 0 {
+		return r.totals[kind]
+	}
+	return r.rows[row][kind]
 }
 
 // WriteCSV writes all records as CSV. Safe on a nil receiver (writes
@@ -180,7 +243,6 @@ func (r *Recorder) Latencies(source string) []sim.Duration {
 	if r == nil {
 		return nil
 	}
-	type key struct{ job int64 }
 	act := map[int64]sim.Time{}
 	var done []struct {
 		job int64
@@ -211,6 +273,5 @@ func (r *Recorder) Latencies(source string) []sim.Duration {
 	for i, d := range done {
 		out[i] = d.lat
 	}
-	_ = key{}
 	return out
 }
