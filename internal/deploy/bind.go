@@ -5,11 +5,13 @@ package deploy
 // never change between candidates, only the Mapping does. Evaluator.Bind
 // exploits that invariant — it derives everything mapping-independent
 // once (effective runnable rates, per-component load terms, proto task
-// sets, connector endpoints, ECU-pair distances and bus reachability)
-// into a Bound. Bound.Prepare adds the mapping state on top (delta.go),
-// and a search scores every candidate through that one Prepared.
-// Evaluator.Evaluate stays the one-shot scorer and the reference the
-// golden corpus and equivalence tests hold the Prepared path to.
+// sets ranked in one global order, connector endpoints, ECU-pair
+// distances and bus reachability) into a Bound, together with the
+// evaluator's constraints, filled and validated once. Bound.Prepare adds
+// the mapping state on top (delta.go), and a search scores every
+// candidate through that one Prepared. Evaluator.Evaluate stays the
+// one-shot scorer and the reference the golden corpus and equivalence
+// tests hold the Prepared path to.
 
 import (
 	"math"
@@ -74,9 +76,9 @@ type boundConn struct {
 // Bound is an Evaluator fixed to one system topology: the
 // mapping-independent half of the search state, shared read-only by
 // every Prepared of a search (AnnealParallel's chains included). The
-// bound data reflects the topology at Bind time; candidates must differ
-// from the base system in Mapping only (the DSE invariant: every
-// candidate is the seed with components moved).
+// bound data reflects the topology and the evaluator's Cons at Bind
+// time; candidates must differ from the base system in Mapping only (the
+// DSE invariant: every candidate is the seed with components moved).
 type Bound struct {
 	ev    *Evaluator
 	comps []boundComp
@@ -94,6 +96,11 @@ type Bound struct {
 	// groups holds the replica groups of the topology; empty for systems
 	// without standbys, where the fail-operational check is skipped.
 	groups []redGroup
+	// cons is the evaluator's Cons at Bind time, filled, and consErr its
+	// Validate verdict: every score of the Bound reads them instead of
+	// re-filling and re-validating per move.
+	cons    Constraints
+	consErr error
 }
 
 // Bind precomputes the mapping-independent derivations of sys. It fails
@@ -105,11 +112,14 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 	}
 	b := &Bound{
 		ev:      ev,
+		cons:    ev.Cons,
 		ecus:    bindECUs(sys),
 		comps:   bindComps(sys),
 		ecuIdx:  make(map[string]int, len(sys.ECUs)),
 		compIdx: make(map[string]int, len(sys.Components)),
 	}
+	b.cons.fill()
+	b.consErr = b.cons.Validate()
 	for i := range b.ecus {
 		b.ecuIdx[b.ecus[i].name] = i
 	}

@@ -1,24 +1,38 @@
 package deploy
 
 // Prepared is the mapping half of the search state: on top of a Bound it
-// retains the incumbent mapping's per-ECU accumulators and
-// schedulability verdicts, so EvaluateMove re-derives only the two ECUs a
-// single-component move touches — O(dirty ECUs) instead of the
-// O(system) regrouping a full evaluation pays. Its metrics are
-// bit-identical to Evaluator.Evaluate on the moved system — same
-// summation order, same violation strings in the same order
-// (TestGoldenCorpus, TestPreparedEvaluateMoveMatchesBoundEvaluate and
-// FuzzPreparedMatchesEvaluate hold the two together).
+// retains the incumbent mapping's per-ECU hosted component lists and
+// accumulators, and memoizes response-time verdicts per ECU, so scoring
+// a single-component move re-derives only the two ECUs it touches.
+//
+// A move's dirty ECUs cost O(hosted components): their accumulators are
+// re-walked from the hosted lists (the moved component skipped or merged
+// in at its index, so the summation order stays Evaluator.Evaluate's),
+// and their RTA verdicts come from a per-ECU memo row, one slot per
+// toggled component. Apply drops only the two rows it dirties. Every
+// other ECU is read from the incumbent arrays.
+//
+// Two scorers share one assembly (score): EvaluateMove/Evaluate build
+// the full Metrics with violation text, bit-identical to
+// Evaluator.Evaluate on the moved system (TestGoldenCorpus,
+// TestPreparedEvaluateMoveMatchesBoundEvaluate and
+// FuzzPreparedMatchesEvaluate hold the two together); moveCost, the
+// searches' scorer, stops at the first violation without formatting
+// text and reaches the RTA stage only when every cheaper check passed.
+// TestGoldenCorpus and FuzzPreparedMatchesEvaluate also hold moveCost
+// equal to EvaluateMove(...).Cost, and TestMoveCostAllocs holds it at
+// zero allocations on a warm Prepared.
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+	"sync/atomic"
 
 	"autorte/internal/model"
 )
 
-// ecuAcc is one ECU's accumulator state under the incumbent mapping: the
-// hosting terms Evaluator.Evaluate derives per evaluation, retained here.
+// ecuAcc is one ECU's accumulator state: the hosting terms
+// Evaluator.Evaluate derives per evaluation.
 type ecuAcc struct {
 	load        float64
 	memory      int
@@ -26,34 +40,57 @@ type ecuAcc struct {
 	worst, best model.ASIL
 }
 
-// moveKey identifies one dirty-ECU recomputation: ECU index, the comp
-// index leaving it (or -1) and the comp index joining it (or -1).
-type moveKey struct{ idx, skip, add int }
-
-type moveEntry struct {
-	acc ecuAcc
-	msg string
+// add folds one hosted component into the accumulator, in
+// Evaluator.Evaluate's per-component order.
+func (a *ecuAcc) add(c *boundComp, speed float64) {
+	if !a.hosts || c.asil < a.best {
+		a.best = c.asil
+	}
+	a.hosts = true
+	a.memory += c.memoryKB
+	if c.asil > a.worst {
+		a.worst = c.asil
+	}
+	if c.passive {
+		return // suspended until promotion: no normal-case demand
+	}
+	for _, t := range c.loadTerms {
+		a.load += t / speed
+	}
 }
 
+// RTA verdict states of the memo rows; rtaUnknown (the zero value) is a
+// slot not analyzed yet.
+const (
+	rtaUnknown uint32 = iota
+	rtaOK
+	rtaUnschedulable
+	rtaFailed
+)
+
 // Prepared scores single-component moves against an incumbent mapping in
-// O(dirty ECUs) instead of O(system). EvaluateMove is read-only and safe
-// for concurrent use (parallel steepest descent scores all moves of a
-// round concurrently); Apply commits a move and is not.
+// O(dirty ECUs) instead of O(system). Scoring (EvaluateMove, Evaluate,
+// moveCost) only reads the incumbent and fills memo slots atomically, so
+// it is safe for concurrent use (parallel steepest descent scores all
+// moves of a round concurrently); Apply commits a move and is not.
 type Prepared struct {
 	b   *Bound
 	cur map[string]string
 	// curIdx mirrors cur as comp index -> ECU index, so the hot loops
 	// compare integers instead of hashing names.
 	curIdx []int
-	// Per-ECU incumbent state, indexed like b.ecus.
-	accs     []ecuAcc
-	schedMsg []string // RTA violation message, "" when schedulable/skipped
-	// memo retains dirty-ECU recomputations against the current
-	// incumbent: a search rescoring its neighborhood between accepted
-	// moves hits the same (ECU, leave, join) combinations over and over.
-	// Apply invalidates the entries of the two ECUs it dirties.
-	mu   sync.RWMutex
-	memo map[moveKey]moveEntry
+	// hosted lists each ECU's components in ascending index order — the
+	// order Evaluator.Evaluate accumulates them in.
+	hosted [][]int
+	// accs holds each ECU's incumbent accumulator, indexed like b.ecus.
+	accs []ecuAcc
+	// rta memoizes RTA verdicts under RequireSchedulable (nil otherwise),
+	// one row of len(b.comps)+1 slots per ECU: slot ci is the ECU's
+	// verdict with component ci toggled (leaving it when hosted there,
+	// joining it otherwise), the last slot the incumbent's own. A search
+	// rescoring its neighborhood between accepted moves hits the same
+	// slots over and over. Atomic, so concurrent scorers share the rows.
+	rta []atomic.Uint32
 }
 
 // Prepare binds the evaluator state to an incumbent mapping. It rejects
@@ -66,12 +103,11 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 		return nil, fmt.Errorf("deploy: prepare: mapping has %d entries for %d components", len(mapping), len(b.comps))
 	}
 	p := &Prepared{
-		b:        b,
-		cur:      cloneMapping(mapping),
-		curIdx:   make([]int, len(b.comps)),
-		accs:     make([]ecuAcc, len(b.ecus)),
-		schedMsg: make([]string, len(b.ecus)),
-		memo:     map[moveKey]moveEntry{},
+		b:      b,
+		cur:    cloneMapping(mapping),
+		curIdx: make([]int, len(b.comps)),
+		hosted: make([][]int, len(b.ecus)),
+		accs:   make([]ecuAcc, len(b.ecus)),
 	}
 	for i := range b.comps {
 		ecu, ok := mapping[b.comps[i].name]
@@ -83,79 +119,92 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 			return nil, fmt.Errorf("deploy: prepare: %s mapped to unknown ECU %q", b.comps[i].name, ecu)
 		}
 		p.curIdx[i] = ei
+		p.hosted[ei] = append(p.hosted[ei], i)
 	}
 	for i := range b.ecus {
-		p.accs[i], p.schedMsg[i] = p.computeECU(i, -1, -1)
+		p.accs[i] = p.accumulate(i, -1, -1)
+	}
+	if b.cons.RequireSchedulable {
+		p.rta = make([]atomic.Uint32, len(b.ecus)*(len(b.comps)+1))
 	}
 	return p, nil
 }
 
-// computeECU re-derives one ECU's accumulator and schedulability verdict,
-// reproducing Evaluator.Evaluate's per-component accumulation order and
-// taskset.Build's grouping exactly. The hosted set is the incumbent's,
-// minus comp index skip, plus comp index add (-1 for none) — the two
-// adjustments a single-component move needs. The response-time analysis
-// runs only under RequireSchedulable, the one setting that reads it.
-func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
-	b := p.b
-	speed := b.ecus[idx].speed
-	schedulable := b.ev.Cons.RequireSchedulable
+// accumulate derives ECU idx's accumulator for its incumbent hosted set
+// minus comp index skip, plus comp index add (-1 for none) merged in at
+// its index — the two adjustments a single-component move needs.
+func (p *Prepared) accumulate(idx, skip, add int) ecuAcc {
+	comps, speed := p.b.comps, p.b.ecus[idx].speed
 	var a ecuAcc
-	var protos []*protoTask
-	for i := range b.comps {
-		if (p.curIdx[i] != idx || i == skip) && i != add {
-			continue
+	for _, ci := range p.hosted[idx] {
+		if add >= 0 && add < ci {
+			a.add(&comps[add], speed)
+			add = -1
 		}
-		c := &b.comps[i]
-		if !a.hosts || c.asil < a.best {
-			a.best = c.asil
-		}
-		a.hosts = true
-		a.memory += c.memoryKB
-		if c.asil > a.worst {
-			a.worst = c.asil
-		}
-		if c.passive {
-			continue // suspended until promotion: no normal-case demand
-		}
-		for _, t := range c.loadTerms {
-			a.load += t / speed
-		}
-		if schedulable {
-			for j := range c.protos {
-				protos = append(protos, &c.protos[j])
-			}
+		if ci != skip {
+			a.add(&comps[ci], speed)
 		}
 	}
-	tasks := rtaTasks(protos, speed)
-	if len(tasks) == 0 {
-		return a, ""
+	if add >= 0 {
+		a.add(&comps[add], speed)
 	}
-	name := b.ecus[idx].name
-	ok, err := b.ev.RTA.Check(tasks)
-	if err != nil {
-		return a, fmt.Sprintf("%s: RTA failed: %v", name, err)
-	}
-	if !ok {
-		return a, fmt.Sprintf("%s unschedulable under response-time analysis", name)
-	}
-	return a, ""
+	return a
 }
 
-// computeECUCached memoizes computeECU against the current incumbent.
-func (p *Prepared) computeECUCached(idx, skip, add int) (ecuAcc, string) {
-	k := moveKey{idx, skip, add}
-	p.mu.RLock()
-	e, ok := p.memo[k]
-	p.mu.RUnlock()
-	if ok {
-		return e.acc, e.msg
+// slot indexes ECU idx's memo row at toggled comp ci (-1: the incumbent).
+func (p *Prepared) slot(idx, ci int) *atomic.Uint32 {
+	n := len(p.b.comps) + 1
+	if ci < 0 {
+		ci = n - 1
 	}
-	acc, msg := p.computeECU(idx, skip, add)
-	p.mu.Lock()
-	p.memo[k] = moveEntry{acc, msg}
-	p.mu.Unlock()
-	return acc, msg
+	return &p.rta[idx*n+ci]
+}
+
+// verdict returns ECU idx's RTA verdict with comp ci toggled (-1 for
+// none), analyzing it on the first request.
+func (p *Prepared) verdict(idx, ci int) uint32 {
+	s := p.slot(idx, ci)
+	if v := s.Load(); v != rtaUnknown {
+		return v
+	}
+	v, _ := p.analyze(idx, ci)
+	s.Store(v)
+	return v
+}
+
+// analyze runs the response-time analysis of ECU idx's hosted set with
+// comp ci toggled (-1 for none) — taskset.Build's grouping, ranked in the
+// bound global proto order — through the evaluator's cache.
+func (p *Prepared) analyze(idx, ci int) (uint32, error) {
+	b := p.b
+	skip, add := -1, -1
+	if ci >= 0 {
+		if p.curIdx[ci] == idx {
+			skip = ci
+		} else {
+			add = ci
+		}
+	}
+	buf := rtaBufs.Get().(*rtaBuf)
+	defer rtaBufs.Put(buf)
+	protos := buf.protos[:0]
+	for _, x := range p.hosted[idx] {
+		if x != skip {
+			protos = b.comps[x].appendActive(protos)
+		}
+	}
+	if add >= 0 {
+		protos = b.comps[add].appendActive(protos)
+	}
+	buf.protos = protos
+	ok, err := buf.check(b.ev.RTA, b.ecus[idx].speed)
+	switch {
+	case err != nil:
+		return rtaFailed, err
+	case !ok:
+		return rtaUnschedulable, nil
+	}
+	return rtaOK, nil
 }
 
 // indices resolves a move's names. An unknown name yields the error
@@ -180,33 +229,24 @@ func (p *Prepared) EvaluateMove(comp, ecu string) Metrics {
 	if err != nil {
 		return Metrics{Feasible: false, Violations: []string{err.Error()}}
 	}
-	return p.evaluateMove(ci, ei)
-}
-
-// evaluateMove scores moving comp index ci to ECU index ei.
-func (p *Prepared) evaluateMove(ci, ei int) Metrics {
-	oi := p.curIdx[ci]
-	if ei == oi {
-		// The move is a no-op: the candidate mapping IS the incumbent.
-		return p.Evaluate()
-	}
-	accOld, msgOld := p.computeECUCached(oi, ci, -1)
-	accNew, msgNew := p.computeECUCached(ei, -1, ci)
-	get := func(i int) (ecuAcc, string) {
-		switch i {
-		case oi:
-			return accOld, msgOld
-		case ei:
-			return accNew, msgNew
-		}
-		return p.accs[i], p.schedMsg[i]
-	}
-	return p.assemble(ci, ei, get)
+	var m Metrics
+	p.score(ci, ei, &m, true)
+	return m
 }
 
 // Evaluate scores the incumbent mapping itself from the retained state.
 func (p *Prepared) Evaluate() Metrics {
-	return p.assemble(-1, -1, func(i int) (ecuAcc, string) { return p.accs[i], p.schedMsg[i] })
+	var m Metrics
+	p.score(-1, -1, &m, true)
+	return m
+}
+
+// moveCost is EvaluateMove(ci, ei).Cost(obj) without the explanation:
+// the searches' scorer (ci = -1 scores the incumbent).
+func (p *Prepared) moveCost(ci, ei int, obj Objective) float64 {
+	var m Metrics
+	p.score(ci, ei, &m, false)
+	return m.Cost(obj)
 }
 
 // Apply commits a previously scored move into the incumbent state. Not
@@ -223,23 +263,36 @@ func (p *Prepared) Apply(comp, ecu string) error {
 // apply commits moving comp index ci to ECU index ei.
 func (p *Prepared) apply(ci, ei int) {
 	oi := p.curIdx[ci]
+	if oi == ei {
+		return
+	}
 	p.cur[p.b.comps[ci].name] = p.b.ecus[ei].name
 	p.curIdx[ci] = ei
-	// Only the two dirty ECUs' memo entries are stale: a move between oi
-	// and ei cannot change any other ECU's hosted set, and within a memo
-	// entry the moved component's own membership is forced by skip/add
-	// rather than read from the incumbent. Keeping the rest warm is what
-	// lets a search reuse scores across accepted moves.
-	p.mu.Lock()
-	for k := range p.memo {
-		if k.idx == oi || k.idx == ei {
-			delete(p.memo, k)
-		}
+	h := p.hosted[oi]
+	k, _ := slices.BinarySearch(h, ci)
+	p.hosted[oi] = slices.Delete(h, k, k+1)
+	k, _ = slices.BinarySearch(p.hosted[ei], ci)
+	p.hosted[ei] = slices.Insert(p.hosted[ei], k, ci)
+	p.accs[oi] = p.accumulate(oi, -1, -1)
+	p.accs[ei] = p.accumulate(ei, -1, -1)
+	if p.rta == nil {
+		return
 	}
-	p.mu.Unlock()
-	p.accs[oi], p.schedMsg[oi] = p.computeECU(oi, -1, -1)
-	if ei != oi {
-		p.accs[ei], p.schedMsg[ei] = p.computeECU(ei, -1, -1)
+	// Only the two dirty rows are stale: a move between oi and ei changes
+	// no other ECU's hosted set, and a slot's toggled component names its
+	// own membership. The move's own verdicts become the two new
+	// incumbent verdicts.
+	for _, idx := range [2]int{oi, ei} {
+		moved := p.slot(idx, ci).Load()
+		p.dropRow(idx)
+		p.slot(idx, -1).Store(moved)
+	}
+}
+
+// dropRow forgets every memoized verdict of ECU idx.
+func (p *Prepared) dropRow(idx int) {
+	for c := -1; c < len(p.b.comps); c++ {
+		p.slot(idx, c).Store(rtaUnknown)
 	}
 }
 
@@ -254,105 +307,170 @@ func cloneMapping(m map[string]string) map[string]string {
 	return out
 }
 
-// ecuOf resolves a component's ECU index under the incumbent with one
-// moved component overridden (moved -1 for none).
-func (p *Prepared) ecuOf(ci, moved, target int) int {
-	if ci == moved {
-		return target
-	}
-	return p.curIdx[ci]
+// candidate is one scored mapping as a view over a base mapping (comp
+// index -> ECU index, -1 when unmapped) and its per-ECU accumulators:
+// comp ci moved from ECU oi to ECU ei (all -1 for the base itself), the
+// two dirty ECUs' accumulators overridden by from and to. Both
+// evaluation paths hand their mapping to redCheck in this form.
+type candidate struct {
+	curIdx     []int
+	accs       []ecuAcc
+	ci, oi, ei int
+	from, to   ecuAcc
 }
 
-// assemble folds per-ECU state into Metrics with Evaluator.Evaluate's
-// exact term order: ECU count, harness sum in connector order, per-ECU
-// checks in declaration order, fail-operational checks, communication
-// verdict, RTA verdicts in sorted ECU order, then load variance. The
-// candidate mapping is the incumbent with comp index moved relocated to
-// ECU index target.
-func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) Metrics {
+func (c *candidate) acc(i int) *ecuAcc {
+	switch i {
+	case c.oi:
+		return &c.from
+	case c.ei:
+		return &c.to
+	}
+	return &c.accs[i]
+}
+
+// ecuOf resolves a comp index to its ECU index, -1 when unmapped.
+func (c *candidate) ecuOf(comp int) int {
+	if comp == c.ci {
+		return c.ei
+	}
+	return c.curIdx[comp]
+}
+
+// toggled is the comp index ECU i's hosted set differs from the
+// incumbent's by, -1 for none.
+func (c *candidate) toggled(i int) int {
+	if i == c.oi || i == c.ei {
+		return c.ci
+	}
+	return -1
+}
+
+// score folds the candidate mapping — the incumbent with comp index ci
+// moved to ECU index ei; ci = -1 for the incumbent itself — into m with
+// Evaluator.Evaluate's exact term order: per-ECU checks in declaration
+// order (counting ECUs and summing loads), harness sum in connector
+// order, fail-operational checks, communication verdict, RTA verdicts
+// in sorted ECU order, then load variance. With explain false, the first
+// violation clears m.Feasible and ends the scoring without formatting
+// any text; the remaining terms are then left unset.
+func (p *Prepared) score(ci, ei int, m *Metrics, explain bool) {
 	b := p.b
-	cons := b.ev.Cons
-	cons.fill()
-	m := Metrics{Feasible: true}
-	if err := cons.Validate(); err != nil {
+	cons := &b.cons
+	*m = Metrics{Feasible: true}
+	if b.consErr != nil {
 		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
-		return m
-	}
-	for i := range b.ecus {
-		if a, _ := get(i); a.hosts {
-			m.ECUs++
+		if explain {
+			m.Violations = append(m.Violations, b.consErr.Error())
 		}
+		return
 	}
-	for _, c := range b.conns {
-		si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target)
-		if si != di {
-			m.Harness += b.dist[si][di]
-		}
+	c := candidate{curIdx: p.curIdx, accs: p.accs, ci: -1, oi: -1, ei: -1}
+	if ci >= 0 && p.curIdx[ci] != ei {
+		c.ci, c.oi, c.ei = ci, p.curIdx[ci], ei
+		c.from = p.accumulate(c.oi, ci, -1)
+		c.to = p.accumulate(ei, -1, ci)
 	}
-	var loads []float64
+	mean := 0.0
 	for i := range b.ecus {
-		a, _ := get(i)
+		a := c.acc(i)
 		if !a.hosts {
 			continue
 		}
 		e := &b.ecus[i]
-		loads = append(loads, a.load)
+		m.ECUs++
+		mean += a.load
 		if a.load > m.MaxLoad {
 			m.MaxLoad = a.load
 		}
 		if a.load > cons.MaxUtilization {
 			m.Feasible = false
+			if !explain {
+				return
+			}
 			m.Violations = append(m.Violations, fmt.Sprintf("%s overloaded: %.3f > %.3f", e.name, a.load, cons.MaxUtilization))
 		}
 		if cons.RespectMemory && e.memoryKB > 0 && a.memory > e.memoryKB {
 			m.Feasible = false
+			if !explain {
+				return
+			}
 			m.Violations = append(m.Violations, fmt.Sprintf("%s out of memory: %d > %d KB", e.name, a.memory, e.memoryKB))
 		}
 		if cons.RespectASIL && a.worst > e.maxASIL {
 			m.Feasible = false
+			if !explain {
+				return
+			}
 			m.Violations = append(m.Violations, fmt.Sprintf("%s hosts %v components but qualifies only for %v", e.name, a.worst, e.maxASIL))
 		}
-		if msg := asilSpreadViolation(e.name, a.worst, a.best, cons.MaxASILSpread); msg != "" {
+		if _, _, over := asilSpread(a.worst, a.best, cons.MaxASILSpread); over {
 			m.Feasible = false
-			m.Violations = append(m.Violations, msg)
+			if !explain {
+				return
+			}
+			m.Violations = append(m.Violations, asilSpreadViolation(e.name, a.worst, a.best, cons.MaxASILSpread))
 		}
 	}
-	rc := &redCheck{
-		comps: b.comps, groups: b.groups, ecus: b.ecus, cons: cons, rta: b.ev.RTA,
-		ecuOf: func(ci int) (int, bool) { return p.ecuOf(ci, moved, target), true },
-		load:  func(ei int) float64 { a, _ := get(ei); return a.load },
-		hosts: func(ei int) bool { a, _ := get(ei); return a.hosts },
-	}
-	rc.run(&m)
 	// Communication: the first route-producing remote connector without a
-	// reachable ECU pair is the error vfb.Resolve reports.
-	for _, c := range b.conns {
-		si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target)
-		if si != di && c.needsPath && b.path[si][di] != nil {
-			m.Feasible = false
-			m.Violations = append(m.Violations, b.path[si][di].Error())
-			break
+	// reachable ECU pair is the error vfb.Resolve reports. It is reported
+	// after the fail-operational violations.
+	var pathErr error
+	for k := range b.conns {
+		cn := &b.conns[k]
+		si, di := c.ecuOf(cn.from), c.ecuOf(cn.to)
+		if si == di {
+			continue
 		}
-	}
-	if cons.RequireSchedulable {
-		for _, i := range b.ecuByName {
-			if _, msg := get(i); msg != "" {
-				m.Feasible = false
-				m.Violations = append(m.Violations, msg)
+		m.Harness += b.dist[si][di]
+		if pathErr == nil && cn.needsPath && b.path[si][di] != nil {
+			pathErr = b.path[si][di]
+			m.Feasible = false
+			if !explain {
+				return
 			}
 		}
 	}
-	if len(loads) > 0 {
-		mean := 0.0
-		for _, l := range loads {
-			mean += l
-		}
-		mean /= float64(len(loads))
-		for _, l := range loads {
-			m.LoadVar += (l - mean) * (l - mean)
-		}
-		m.LoadVar /= float64(len(loads))
+	rc := redCheck{comps: b.comps, groups: b.groups, ecus: b.ecus, cons: b.cons, rta: b.ev.RTA, cand: c, quick: !explain}
+	rc.run(m)
+	if !explain && !m.Feasible {
+		return
 	}
-	return m
+	if pathErr != nil {
+		m.Violations = append(m.Violations, pathErr.Error())
+	}
+	if cons.RequireSchedulable {
+		for _, i := range b.ecuByName {
+			v := p.verdict(i, c.toggled(i))
+			if v == rtaOK {
+				continue
+			}
+			m.Feasible = false
+			if !explain {
+				return
+			}
+			m.Violations = append(m.Violations, p.rtaViolation(i, c.toggled(i), v))
+		}
+	}
+	if m.ECUs > 0 {
+		mean /= float64(m.ECUs)
+		for i := range b.ecus {
+			if a := c.acc(i); a.hosts {
+				m.LoadVar += (a.load - mean) * (a.load - mean)
+			}
+		}
+		m.LoadVar /= float64(m.ECUs)
+	}
+}
+
+// rtaViolation formats the violation of ECU idx's failed verdict v with
+// comp ci toggled. The memo keeps only the verdict and sched.Cache does
+// not cache errors, so an analysis error's text is re-derived.
+func (p *Prepared) rtaViolation(idx, ci int, v uint32) string {
+	name := p.b.ecus[idx].name
+	if v == rtaUnschedulable {
+		return fmt.Sprintf("%s unschedulable under response-time analysis", name)
+	}
+	_, err := p.analyze(idx, ci)
+	return fmt.Sprintf("%s: RTA failed: %v", name, err)
 }

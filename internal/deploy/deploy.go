@@ -126,6 +126,9 @@ func (m Metrics) Cost(obj Objective) float64 {
 // task sets actually changed. Safe for concurrent use; the zero RTA field
 // degrades to uncached analysis.
 type Evaluator struct {
+	// Cons bounds feasible mappings. A Bound snapshots it at Bind (filled
+	// and validated once), so a change reaches only evaluations bound
+	// afterwards.
 	Cons Constraints
 	// RTA caches per-ECU response-time analysis for
 	// Cons.RequireSchedulable. Optional.
@@ -192,8 +195,7 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 	}
 	// Per-ECU checks.
 	var loads []float64
-	loadByIdx := make([]float64, len(sys.ECUs))
-	hostsByIdx := make([]bool, len(sys.ECUs))
+	accs := make([]ecuAcc, len(sys.ECUs))
 	for ei, e := range sys.ECUs {
 		load := sys.AnalyzedLoad(e.Name)
 		memory := 0
@@ -212,7 +214,7 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 				worstASIL = c.ASIL
 			}
 		}
-		loadByIdx[ei], hostsByIdx[ei] = load, hosts
+		accs[ei].load, accs[ei].hosts = load, hosts
 		if !hosts {
 			continue
 		}
@@ -248,12 +250,15 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 		for i := range ecus {
 			ecuIdx[ecus[i].name] = i
 		}
-		rc := &redCheck{
-			comps: comps, groups: redGroups(comps), ecus: ecus, cons: cons, rta: ev.RTA,
-			ecuOf: func(ci int) (int, bool) { idx, ok := ecuIdx[sys.Mapping[comps[ci].name]]; return idx, ok },
-			load:  func(ei int) float64 { return loadByIdx[ei] },
-			hosts: func(ei int) bool { return hostsByIdx[ei] },
+		c := candidate{curIdx: make([]int, len(comps)), accs: accs, ci: -1, oi: -1, ei: -1}
+		for ci := range comps {
+			idx, ok := ecuIdx[sys.Mapping[comps[ci].name]]
+			if !ok {
+				idx = -1
+			}
+			c.curIdx[ci] = idx
 		}
+		rc := &redCheck{comps: comps, groups: redGroups(comps), ecus: ecus, cons: cons, rta: ev.RTA, cand: c}
 		rc.run(&m)
 	}
 	// Communication feasibility: every remote connector needs a shared bus.
@@ -464,17 +469,26 @@ func Anneal(sys *model.System, cons Constraints, obj Objective, seed uint64, ite
 	return out, err
 }
 
-// incumbent prepares a search's starting mapping: sys's own when it is
-// complete and feasible, otherwise the Greedy packing of sys.
-func (b *Bound) incumbent(sys *model.System) (*Prepared, error) {
-	if p, err := b.Prepare(sys.Mapping); err == nil && p.Evaluate().Feasible {
-		return p, nil
+// incumbent prepares a search's starting mapping and its cost under
+// obj: sys's own mapping when it is complete and feasible, otherwise the
+// Greedy packing of sys.
+func (b *Bound) incumbent(sys *model.System, obj Objective) (*Prepared, float64, error) {
+	if p, err := b.Prepare(sys.Mapping); err == nil {
+		var m Metrics
+		p.score(-1, -1, &m, false)
+		if m.Feasible {
+			return p, m.Cost(obj), nil
+		}
 	}
-	g, err := Greedy(sys, b.ev.Cons)
+	g, err := Greedy(sys, b.cons)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return b.Prepare(g.Mapping)
+	p, err := b.Prepare(g.Mapping)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, p.moveCost(-1, -1, obj), nil
 }
 
 // withMapping returns a clone of sys carrying mapping.
@@ -486,17 +500,16 @@ func withMapping(sys *model.System, mapping map[string]string) *model.System {
 
 // anneal is the chain shared by Anneal and AnnealParallel (the latter
 // shares one Bound, and so one cached evaluator, across its chains). Each
-// candidate move is scored through the chain's own Prepared in O(dirty
-// ECUs). It returns the best mapping found and its cost.
+// candidate move is priced through the chain's own Prepared by moveCost
+// in O(dirty ECUs). It returns the best mapping found and its cost.
 func anneal(b *Bound, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, float64, error) {
 	ev := b.ev
-	prep, err := b.incumbent(sys)
+	// The incumbent is feasible, so every cost from here on that is
+	// accepted is finite.
+	prep, curCost, err := b.incumbent(sys, obj)
 	if err != nil {
 		return nil, 0, err
 	}
-	// The incumbent is feasible, so every cost from here on that is
-	// accepted is finite.
-	curCost := prep.Evaluate().Cost(obj)
 	best, bestCost := prep.Mapping(), curCost
 	r := sim.NewRand(seed)
 	temp := bestCost * 0.05
@@ -508,7 +521,7 @@ func anneal(b *Bound, sys *model.System, obj Objective, seed uint64, iters int) 
 		if prep.curIdx[ci] == ei {
 			continue
 		}
-		cost := prep.evaluateMove(ci, ei).Cost(obj)
+		cost := prep.moveCost(ci, ei, obj)
 		ev.movesEvaluated.Add(1)
 		accept := cost <= curCost
 		if !accept && !math.IsInf(cost, 1) {
@@ -534,6 +547,12 @@ func anneal(b *Bound, sys *model.System, obj Objective, seed uint64, iters int) 
 // recurring candidate task sets is paid once across the whole search.
 // The result is deterministic: chains are seeded by index and compared by
 // (cost, chain index), independent of scheduling.
+//
+// Each call creates its own evaluator (NewEvaluator), so that cache
+// starts cold on every call and is dropped when the call returns, and
+// its cache statistics and search counts are not visible to the caller:
+// a caller's Evaluator.SearchCounts, Observe registry or RTA.Stats sees
+// none of this search's work.
 func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 	seed uint64, iters, restarts, workers int) (*model.System, error) {
 	cons.fill()
@@ -601,17 +620,18 @@ func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIt
 	if err != nil {
 		return nil, err
 	}
-	// EvaluateMove is read-only, so the per-round candidate fan-out below
+	// Scoring is read-only, so the per-round candidate fan-out below
 	// shares the incumbent's Prepared concurrently.
-	prep, err := b.incumbent(sys)
+	prep, curCost, err := b.incumbent(sys, obj)
 	if err != nil {
 		return nil, err
 	}
-	curCost := prep.Evaluate().Cost(obj)
 	comps := byName(len(b.comps), func(i int) string { return b.comps[i].name })
 	type move struct{ comp, ecu int }
+	moves := make([]move, 0, len(b.comps)*len(b.ecus))
+	costs := make([]float64, cap(moves))
 	for iter := 0; iter < maxIters; iter++ {
-		var moves []move
+		moves = moves[:0]
 		for _, ci := range comps {
 			for _, ei := range b.ecuByName {
 				if prep.curIdx[ci] != ei {
@@ -619,12 +639,11 @@ func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIt
 				}
 			}
 		}
-		costs := make([]float64, len(moves))
 		_ = par.ForEach(workers, len(moves), func(i int) error {
-			defer ev.movesEvaluated.Add(1)
-			costs[i] = prep.evaluateMove(moves[i].comp, moves[i].ecu).Cost(obj)
+			costs[i] = prep.moveCost(moves[i].comp, moves[i].ecu, obj)
 			return nil
 		})
+		ev.movesEvaluated.Add(uint64(len(moves)))
 		best := -1
 		for i := range moves {
 			if costs[i] < curCost && (best == -1 || costs[i] < costs[best]) {

@@ -111,7 +111,7 @@ func (rc *redCheck) lossUnits(m *Metrics) []lossEvent {
 	if len(fm.Losses) == 0 {
 		var units []lossEvent
 		for ei := range rc.ecus {
-			if !rc.hosts(ei) {
+			if !rc.cand.acc(ei).hosts {
 				continue
 			}
 			dead := make([]bool, len(rc.ecus))

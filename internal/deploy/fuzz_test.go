@@ -44,7 +44,8 @@ func fuzzSystem(t *testing.T, system string, seed uint64) *model.System {
 // FuzzPreparedMatchesEvaluate walks Prepared.EvaluateMove/Apply over
 // fuzzed moves and asserts, at every step, DeepEqual metrics with the
 // reference Evaluator.Evaluate on a cloned system carrying the moved
-// mapping. The shape byte picks a (system, constraint shape) case of the
+// mapping, and that the searches' moveCost equals the cost of those
+// metrics (checkMoveCost). The shape byte picks a (system, constraint shape) case of the
 // golden corpus; for the generated-vehicle cases the seed picks one of
 // eight vehicles. Each pair of move bytes names a component and an
 // ECU; the component byte's high bit also commits the move.
@@ -76,6 +77,7 @@ func FuzzPreparedMatchesEvaluate(f *testing.F) {
 				t.Fatalf("%s/%s move %d (%s -> %s): delta diverges\nreference: %+v\ndelta:     %+v",
 					gc.system, gc.shape, i/2, comp, ecu, want, got)
 			}
+			checkMoveCost(t, prep, comp, ecu, want)
 			if moves[i]&0x80 == 0 {
 				continue
 			}
@@ -86,6 +88,7 @@ func FuzzPreparedMatchesEvaluate(f *testing.F) {
 				t.Fatalf("%s/%s move %d (%s -> %s): incumbent diverges after Apply\nreference: %+v\ndelta:     %+v",
 					gc.system, gc.shape, i/2, comp, ecu, want, got)
 			}
+			checkMoveCost(t, prep, "", "", want)
 		}
 	})
 }

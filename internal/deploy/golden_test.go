@@ -19,7 +19,8 @@ import (
 // evaluator produced for the resulting mapping when the corpus was
 // written. Both scorers — Evaluator.Evaluate on a cloned system and the
 // Prepared delta path (EvaluateMove, Apply, Evaluate) — must reproduce
-// every entry bit-identically. JSON round-trips float64 exactly, so the
+// every entry bit-identically, and the searches' moveCost must price
+// every entry as its Metrics.Cost does. JSON round-trips float64 exactly, so the
 // comparison is reflect.DeepEqual. Regenerate with
 //
 //	go test ./internal/deploy -run TestGoldenCorpus -update-golden
@@ -183,6 +184,7 @@ func TestGoldenCorpus(t *testing.T) {
 					if got := prep.EvaluateMove(e.Comp, e.ECU); !reflect.DeepEqual(got, e.Metrics) {
 						t.Fatalf("step %d (%s -> %s): EvaluateMove diverges\ngolden: %+v\ngot:    %+v", e.Step, e.Comp, e.ECU, e.Metrics, got)
 					}
+					checkMoveCost(t, prep, e.Comp, e.ECU, e.Metrics)
 					if err := prep.Apply(e.Comp, e.ECU); err != nil {
 						t.Fatal(err)
 					}
@@ -194,6 +196,7 @@ func TestGoldenCorpus(t *testing.T) {
 				if got := prep.Evaluate(); !reflect.DeepEqual(got, e.Metrics) {
 					t.Fatalf("step %d: Prepared.Evaluate diverges\ngolden: %+v\ngot:    %+v", e.Step, e.Metrics, got)
 				}
+				checkMoveCost(t, prep, "", "", e.Metrics)
 				if !reflect.DeepEqual(prep.Mapping(), cur.Mapping) {
 					t.Fatalf("step %d: incumbent mapping diverges from the walk", e.Step)
 				}

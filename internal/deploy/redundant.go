@@ -11,8 +11,10 @@ package deploy
 // same Survivability float.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"autorte/internal/model"
 	"autorte/internal/sched"
@@ -23,15 +25,39 @@ import (
 // standby (component index) and the ECU index absorbing it.
 type promo struct{ standby, target int }
 
-// rtaTasks derives the analyzable task set of one ECU hosting protos:
-// ranked rate-monotonically by the precomputed global ord (identical to
+// rtaBuf is the scratch of one response-time check: the hosted protos
+// and the task set derived from them. Pooled, so a warm search builds
+// its task sets without allocating; sched.ResponseTimes copies the tasks
+// into its results, so the buffer is free again once the check returns.
+type rtaBuf struct {
+	protos []*protoTask
+	tasks  []sched.Task
+}
+
+var rtaBufs = sync.Pool{New: func() any { return new(rtaBuf) }}
+
+// appendActive appends the component's protos when it demands CPU in
+// the normal case: passive standbys stay suspended until promotion.
+func (c *boundComp) appendActive(protos []*protoTask) []*protoTask {
+	if c.passive {
+		return protos
+	}
+	for j := range c.protos {
+		protos = append(protos, &c.protos[j])
+	}
+	return protos
+}
+
+// check runs the response-time analysis of one ECU at speed hosting
+// buf.protos, through the cache when one is given: ranked
+// rate-monotonically by the precomputed global ord (identical to
 // taskset.Build's stable (period, name) sort restricted to the subset),
 // WCETs scaled by the ECU speed. Rate-less protos consume a priority rank
-// but are not analyzed.
-func rtaTasks(protos []*protoTask, speed float64) []sched.Task {
-	sort.Slice(protos, func(i, j int) bool { return protos[i].ord < protos[j].ord })
-	var tasks []sched.Task
-	for rank, p := range protos {
+// but are not analyzed; a set with nothing to analyze is schedulable.
+func (buf *rtaBuf) check(rta *sched.Cache, speed float64) (bool, error) {
+	slices.SortFunc(buf.protos, func(a, b *protoTask) int { return cmp.Compare(a.ord, b.ord) })
+	tasks := buf.tasks[:0]
+	for rank, p := range buf.protos {
 		if p.period <= 0 {
 			continue
 		}
@@ -40,7 +66,11 @@ func rtaTasks(protos []*protoTask, speed float64) []sched.Task {
 			T: p.period, D: p.deadline, Priority: 1000 - rank,
 		})
 	}
-	return tasks
+	buf.tasks = tasks
+	if len(tasks) == 0 {
+		return true, nil
+	}
+	return rta.Check(tasks)
 }
 
 // redGroup is one replica group in bound component indices: the primary
@@ -49,6 +79,14 @@ func rtaTasks(protos []*protoTask, speed float64) []sched.Task {
 type redGroup struct {
 	primary  int
 	standbys []int
+}
+
+// inst is the group's k-th instance: the primary, then the standbys.
+func (g *redGroup) inst(k int) int {
+	if k == 0 {
+		return g.primary
+	}
+	return g.standbys[k-1]
 }
 
 // redGroups indexes the replica groups of a bound component set. Standbys
@@ -81,8 +119,8 @@ func redGroups(comps []boundComp) []redGroup {
 }
 
 // redCheck runs the fail-operational checks of one candidate mapping.
-// The closures abstract over how each evaluation path stores its per-ECU
-// state; everything observable (violation strings, their order, the
+// Both evaluation paths hand it their mapping and per-ECU state as a
+// candidate; everything observable (violation strings, their order, the
 // Survivability value) is computed here so the paths cannot drift.
 type redCheck struct {
 	comps  []boundComp
@@ -90,13 +128,12 @@ type redCheck struct {
 	ecus   []boundECU
 	cons   Constraints // filled
 	rta    *sched.Cache
-	// ecuOf resolves a component index to its candidate ECU index; false
-	// when the component is unmapped.
-	ecuOf func(ci int) (int, bool)
-	// load returns the normal-case analyzed load of one ECU index.
-	load func(ei int) float64
-	// hosts reports whether the ECU index hosts any component.
-	hosts func(ei int) bool
+	// cand is the checked mapping, held by value: the candidate a search
+	// scores stays on its stack.
+	cand candidate
+	// quick ends the run at the first hard violation: the search cost
+	// only needs Feasible cleared, not the rest of the sweep.
+	quick bool
 }
 
 // run appends fail-operational violations to m and sets m.Survivability:
@@ -115,19 +152,22 @@ func (rc *redCheck) run(m *Metrics) {
 	// together, defeating the replication. Group order, then pair order.
 	// Always a hard violation, Soft or not — co-location is a deployment
 	// bug, not a coverage gap.
-	for _, g := range groups {
-		insts := append([]int{g.primary}, g.standbys...)
-		for x := 0; x < len(insts); x++ {
-			ex, okx := rc.ecuOf(insts[x])
-			if !okx {
+	for gi := range groups {
+		g := &groups[gi]
+		for x := 0; x <= len(g.standbys); x++ {
+			ex := rc.cand.ecuOf(g.inst(x))
+			if ex < 0 {
 				continue
 			}
-			for y := x + 1; y < len(insts); y++ {
-				if ey, oky := rc.ecuOf(insts[y]); oky && ey == ex {
+			for y := x + 1; y <= len(g.standbys); y++ {
+				if rc.cand.ecuOf(g.inst(y)) == ex {
 					m.Feasible = false
+					if rc.quick {
+						return
+					}
 					m.Violations = append(m.Violations, fmt.Sprintf(
 						"replicas %s and %s co-located on %s",
-						rc.comps[insts[x]].name, rc.comps[insts[y]].name, rc.ecus[ex].name))
+						rc.comps[g.inst(x)].name, rc.comps[g.inst(y)].name, rc.ecus[ex].name))
 				}
 			}
 		}
@@ -140,8 +180,8 @@ func (rc *redCheck) run(m *Metrics) {
 		var promos []promo
 		for _, g := range groups {
 			events++
-			pe, ok := rc.ecuOf(g.primary)
-			if !ok || !ev.lost(rc.ecus, pe) {
+			pe := rc.cand.ecuOf(g.primary)
+			if pe < 0 || !ev.lost(rc.ecus, pe) {
 				survived++ // this event does not take the primary down
 				continue
 			}
@@ -150,7 +190,7 @@ func (rc *redCheck) run(m *Metrics) {
 			// rte.FailOver would promote.
 			sb, target := -1, -1
 			for _, s := range g.standbys {
-				if se, ok := rc.ecuOf(s); ok && !ev.lost(rc.ecus, se) {
+				if se := rc.cand.ecuOf(s); se >= 0 && !ev.lost(rc.ecus, se) {
 					sb, target = s, se
 					break
 				}
@@ -158,6 +198,9 @@ func (rc *redCheck) run(m *Metrics) {
 			if sb < 0 {
 				if !soft {
 					m.Feasible = false
+					if rc.quick {
+						return
+					}
 					m.Violations = append(m.Violations, fmt.Sprintf(
 						"%s failure leaves %s with no standby on another ECU",
 						ev.label, rc.comps[g.primary].name))
@@ -183,7 +226,7 @@ func (rc *redCheck) run(m *Metrics) {
 			if n == 0 {
 				continue
 			}
-			al := rc.load(ti)
+			al := rc.cand.acc(ti).load
 			speed := rc.ecus[ti].speed
 			for _, pr := range promos {
 				if pr.target != ti || !rc.comps[pr.standby].passive {
@@ -197,6 +240,9 @@ func (rc *redCheck) run(m *Metrics) {
 			if !ok {
 				if !soft {
 					m.Feasible = false
+					if rc.quick {
+						return
+					}
 					m.Violations = append(m.Violations, fmt.Sprintf(
 						"%s failure overloads fail-over target %s: %.3f > %.3f",
 						ev.label, rc.ecus[ti].name, al, rc.cons.MaxUtilization))
@@ -205,6 +251,9 @@ func (rc *redCheck) run(m *Metrics) {
 				ok = false
 				if !soft {
 					m.Feasible = false
+					if rc.quick {
+						return
+					}
 					m.Violations = append(m.Violations, fmt.Sprintf(
 						"%s unschedulable after absorbing fail-over from %s",
 						rc.ecus[ti].name, ev.label))
@@ -231,23 +280,20 @@ func (rc *redCheck) failoverSchedulable(target int, promos []promo) bool {
 			promoted[pr.standby] = true
 		}
 	}
-	var protos []*protoTask
+	buf := rtaBufs.Get().(*rtaBuf)
+	defer rtaBufs.Put(buf)
+	buf.protos = buf.protos[:0]
 	for ci := range rc.comps {
 		c := &rc.comps[ci]
-		ce, ok := rc.ecuOf(ci)
-		hosted := ok && ce == target && !c.passive
+		hosted := rc.cand.ecuOf(ci) == target && !c.passive
 		if !hosted && !promoted[ci] {
 			continue
 		}
 		for j := range c.protos {
-			protos = append(protos, &c.protos[j])
+			buf.protos = append(buf.protos, &c.protos[j])
 		}
 	}
-	tasks := rtaTasks(protos, rc.ecus[target].speed)
-	if len(tasks) == 0 {
-		return true
-	}
-	ok, err := rc.rta.Check(tasks)
+	ok, err := buf.check(rc.rta, rc.ecus[target].speed)
 	return err == nil && ok
 }
 
@@ -258,20 +304,28 @@ func sameReplicaGroup(a, b *model.SWC) bool {
 		(a.ReplicaOf != "" && a.ReplicaOf == b.ReplicaOf)
 }
 
+// asilSpread reports whether an ECU's criticality span (worst−best)
+// exceeds the MaxASILSpread limit, with the span and the effective limit.
+func asilSpread(worst, best model.ASIL, maxSpread int) (spread, limit int, over bool) {
+	if maxSpread == 0 {
+		return 0, 0, false
+	}
+	limit = maxSpread
+	if limit < 0 {
+		limit = 0 // negative = strict: one criticality level per ECU
+	}
+	spread = int(worst) - int(best)
+	return spread, limit, spread > limit
+}
+
 // asilSpreadViolation formats the MaxASILSpread violation for one ECU's
 // criticality span, "" when admissible. Shared by every evaluation path
 // (and fits) so the diagnostic cannot drift between them.
 func asilSpreadViolation(ecu string, worst, best model.ASIL, maxSpread int) string {
-	if maxSpread == 0 {
+	spread, limit, over := asilSpread(worst, best, maxSpread)
+	if !over {
 		return ""
 	}
-	limit := maxSpread
-	if limit < 0 {
-		limit = 0 // negative = strict: one criticality level per ECU
-	}
-	if spread := int(worst) - int(best); spread > limit {
-		return fmt.Sprintf("%s co-locates %v with %v: ASIL spread %d exceeds %d",
-			ecu, worst, best, spread, limit)
-	}
-	return ""
+	return fmt.Sprintf("%s co-locates %v with %v: ASIL spread %d exceeds %d",
+		ecu, worst, best, spread, limit)
 }
